@@ -14,7 +14,7 @@
 use tscache_core::hierarchy::TraceOp;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
-use tscache_interference::{run_contended_segment, CoRunner, ContentionConfig, SystemConfig};
+use tscache_interference::{execute, CoRunner, ContentionConfig, CoreRun, SystemConfig};
 use tscache_sca::bernstein::run_attack;
 use tscache_sca::detect::{run_detection_campaign, DetectTarget, DetectionCampaignConfig};
 use tscache_sca::evict_time::run_evict_time;
@@ -119,14 +119,12 @@ fn main() {
             co.swap(0, 1);
         }
         let trace = TraceOp::mixed_trace(0x22, 600, 1 << 18);
-        let mut events = Vec::new();
-        run_contended_segment(
-            &mut h,
-            ProcessId::new(1),
-            &trace,
+        execute(
+            &mut [CoreRun { hierarchy: &mut h, pid: ProcessId::new(1), ops: &trace }],
             &mut co,
+            None,
             &SystemConfig::default(),
-            &mut events,
+            None,
         )
     };
     let (plain, swapped) = (segment(false), segment(true));
@@ -138,13 +136,13 @@ fn main() {
     // the interleaving, since the loop stops with the primary); the
     // engine-level per-core invariance is pinned by the unit suite.
     assert_eq!(
-        invariant(&plain.primary),
-        invariant(&swapped.primary),
+        invariant(&plain.cores[0]),
+        invariant(&swapped.cores[0]),
         "core ordering leaked into the measured core's cache/MSHR outcomes"
     );
     let mut d = Digest::new();
-    d.u64(plain.primary.cycles);
-    d.u64(plain.primary.bus_wait);
+    d.u64(plain.cores[0].cycles);
+    d.u64(plain.cores[0].bus_wait);
     d.u64(plain.bus.transactions);
     println!("contended_core_order {:016x}", d.0);
 
@@ -177,7 +175,6 @@ fn main() {
     // pinned there.
     let shared_segment = |swap: bool, partitioned: bool| {
         use tscache_core::addr::Addr;
-        use tscache_core::hierarchy::LlcRequests;
         use tscache_core::setup::HierarchyDepth;
         let mk_enemy = |salt: u64| {
             let mut h = SetupKind::TsCache.build_private(HierarchyDepth::TwoLevel, 77 + salt);
@@ -208,17 +205,12 @@ fn main() {
             co.swap(0, 1);
         }
         let trace = TraceOp::mixed_trace(0x22, 600, 1 << 18);
-        let mut events = Vec::new();
-        let mut requests = LlcRequests::default();
-        tscache_interference::run_contended_segment_shared(
-            &mut h,
-            ProcessId::new(1),
-            &trace,
+        execute(
+            &mut [CoreRun { hierarchy: &mut h, pid: ProcessId::new(1), ops: &trace }],
             &mut co,
-            &mut llc,
+            Some(&mut llc),
             &SystemConfig::default(),
-            &mut events,
-            &mut requests,
+            None,
         )
     };
     for partitioned in [false, true] {
@@ -229,16 +221,16 @@ fn main() {
                 (r.ops, r.base_cycles, r.mem_reads, r.mem_writebacks)
             };
             assert_eq!(
-                iso(&plain.primary),
-                iso(&swapped.primary),
+                iso(&plain.cores[0]),
+                iso(&swapped.cores[0]),
                 "core ordering reached a fully partitioned core's shared-level outcomes"
             );
         }
         let mut d = Digest::new();
-        d.u64(plain.primary.cycles);
-        d.u64(plain.primary.base_cycles);
-        d.u64(swapped.primary.cycles);
-        d.u64(swapped.primary.base_cycles);
+        d.u64(plain.cores[0].cycles);
+        d.u64(plain.cores[0].base_cycles);
+        d.u64(swapped.cores[0].cycles);
+        d.u64(swapped.cores[0].base_cycles);
         d.u64(plain.bus.transactions);
         let tag = if partitioned { "partitioned" } else { "open" };
         println!("shared_llc_core_order_{tag} {:016x}", d.0);

@@ -228,9 +228,9 @@ impl LlcRequests {
     /// Consumes op `op_idx`'s requests off the front of the streams,
     /// advancing the caller's cursors: the writebacks the op escaped
     /// (to deliver *before* its fill) and the fill request, if any.
-    /// The one consumption order every shared-LLC engine must share —
-    /// having a single implementation is what keeps the scalar and
-    /// batch engines structurally incapable of diverging here.
+    /// The one consumption order every shared-LLC path must share —
+    /// having a single implementation is what keeps the batched and
+    /// scalar walks structurally incapable of diverging here.
     pub fn take_for_op(
         &self,
         op_idx: u32,
@@ -263,8 +263,8 @@ impl LlcRequests {
 /// Declaring a *coherent range* ([`add_coherent_range`]
 /// [`has_coherence`]) arms the MSI-style invalidation protocol: the
 /// shared level keeps a directory mapping each tracked line to the
-/// bitmap of cores holding private copies, and the multicore engines
-/// drain those copies — on cross-core writes (upgrades), on
+/// bitmap of cores holding private copies, and the multicore merge
+/// loop drains those copies — on cross-core writes (upgrades), on
 /// [`AccessKind::Flush`] broadcasts, and on shared-level eviction of a
 /// tracked line (inclusive back-invalidation) — in deterministic
 /// global op order. Untracked lines stay per-core private, exactly the
@@ -612,7 +612,7 @@ impl SharedLlc {
     /// `pid`: the op's escaped private-level writebacks are delivered
     /// first (victim-drain order), then the fill request, if any. This
     /// is THE shared-level resolution — every consumer (the multicore
-    /// engines' per-op composition and the machine's scalar ops)
+    /// merge loop's per-op composition and the machine's scalar ops)
     /// funnels through it, so the latency/traffic contract cannot
     /// silently diverge between paths.
     pub fn resolve(
@@ -935,82 +935,41 @@ impl Hierarchy {
 
     /// [`access`](Self::access) with the per-op event detail the
     /// interference engine consumes: which levels missed and how many
-    /// writebacks reached memory. Writes mark L1D lines dirty under
-    /// [`WritePolicy::WriteBack`]; evicting a dirty line delivers its
-    /// writeback down the stack (the victim buffer drains *before* the
-    /// fill proceeds to the next level), where it silently re-dirties a
-    /// present copy or cascades further, ultimately to memory.
+    /// writebacks reached memory. It is the private walk of
+    /// [`access_upper_detailed`](Self::access_upper_detailed) with the
+    /// memory behind the last level: a fill adds the memory penalty,
+    /// and writebacks no level absorbed count as memory writebacks.
     pub fn access_detailed(&mut self, pid: ProcessId, kind: AccessKind, addr: Addr) -> OpTiming {
-        if kind == AccessKind::Flush {
-            let line = self.l1d.geometry().line_of(addr);
-            let inv = self.invalidate_line(pid, line);
-            // Flush costs its issue slot; drained dirty copies are
-            // forced to memory (bus writes in contended runs).
-            return OpTiming {
-                cycles: self.l1_hit,
-                miss_mask: 0,
-                mem_writebacks: inv.dirty.min(u8::MAX as u32) as u8,
-            };
-        }
-        let write = kind == AccessKind::Write;
-        let l1 = match kind {
-            AccessKind::Fetch => &mut self.l1i,
-            AccessKind::Read | AccessKind::Write => &mut self.l1d,
-            AccessKind::Flush => unreachable!(),
+        // Borrows the batch walk's writeback scratch; the two walks
+        // never run at once.
+        let mut escaped = core::mem::take(&mut self.scratch_wb_next);
+        escaped.clear();
+        let up = self.access_upper_detailed(pid, kind, addr, 0, &mut escaped);
+        let timing = OpTiming {
+            cycles: up.cycles + if up.fill.is_some() { self.memory } else { 0 },
+            miss_mask: up.miss_mask,
+            mem_writebacks: up.mem_writebacks + escaped.len() as u8,
         };
-        let line = l1.geometry().line_of(addr);
-        let mut timing = OpTiming { cycles: self.l1_hit, miss_mask: 0, mem_writebacks: 0 };
-        let out = l1.access_rw(pid, line, write);
-        if let AccessOutcome::Miss { evicted: Some(ev), .. } = out {
-            if ev.dirty {
-                timing.mem_writebacks += self.cascade_writeback(0, ev.owner, ev.line);
-            }
-        }
-        if out.is_hit() {
-            return timing;
-        }
-        timing.miss_mask |= 1;
-        for k in 0..self.levels.len() {
-            timing.cycles += self.levels[k].hit_cycles;
-            let out = self.levels[k].cache.access(pid, line);
-            if let AccessOutcome::Miss { evicted: Some(ev), .. } = out {
-                if ev.dirty {
-                    timing.mem_writebacks += self.cascade_writeback(k + 1, ev.owner, ev.line);
-                }
-            }
-            if out.is_hit() {
-                return timing;
-            }
-            timing.miss_mask |= 1 << (k + 1);
-        }
-        timing.cycles += self.memory;
+        self.scratch_wb_next = escaped;
         timing
     }
 
-    /// Delivers a writeback emitted above unified level `start` down
-    /// the stack; returns 1 if no level absorbed it (it reached
-    /// memory), 0 otherwise.
-    fn cascade_writeback(&mut self, start: usize, owner: ProcessId, line: LineAddr) -> u8 {
-        for k in start..self.levels.len() {
-            if self.levels[k].cache.receive_writeback(owner, line) {
-                return 0;
-            }
-        }
-        1
-    }
-
-    /// [`access_detailed`](Self::access_detailed) for a core whose last
-    /// unified level is a [`SharedLlc`] owned elsewhere: walks only the
-    /// private levels, and instead of charging the memory penalty
-    /// reports the shared-level fill request (if every private level
-    /// missed). Writebacks no private level absorbs are appended to
+    /// The scalar private walk, for a core whose last unified level
+    /// may be a [`SharedLlc`] owned elsewhere: walks the hierarchy's
+    /// levels and, instead of charging the memory penalty, reports the
+    /// fill request for the level behind them (if every level missed).
+    /// Writes mark L1D lines dirty under [`WritePolicy::WriteBack`];
+    /// evicting a dirty line delivers its writeback down the stack
+    /// (the victim buffer drains *before* the fill proceeds to the next
+    /// level), where it silently re-dirties a present copy or cascades
+    /// further. Writebacks no level absorbs are appended to
     /// `writebacks`, tagged `op_idx`, in the exact order the victim
     /// buffer drains them — all before the op's fill would reach the
-    /// shared level.
+    /// level behind.
     ///
-    /// The caller (the multicore interference engine) resolves the
-    /// request stream against the shared cache and composes the final
-    /// [`OpTiming`].
+    /// The caller (the multicore interference engine, or
+    /// [`access_detailed`](Self::access_detailed) for memory) resolves
+    /// the request stream and composes the final [`OpTiming`].
     pub fn access_upper_detailed(
         &mut self,
         pid: ProcessId,
@@ -1044,7 +1003,7 @@ impl Hierarchy {
         let res = l1.access_rw(pid, line, write);
         if let AccessOutcome::Miss { evicted: Some(ev), .. } = res {
             if ev.dirty {
-                self.cascade_writeback_upper(0, ev.owner, ev.line, op_idx, writebacks);
+                self.cascade_writeback(0, ev.owner, ev.line, op_idx, writebacks);
             }
         }
         if res.is_hit() {
@@ -1056,7 +1015,7 @@ impl Hierarchy {
             let res = self.levels[k].cache.access(pid, line);
             if let AccessOutcome::Miss { evicted: Some(ev), .. } = res {
                 if ev.dirty {
-                    self.cascade_writeback_upper(k + 1, ev.owner, ev.line, op_idx, writebacks);
+                    self.cascade_writeback(k + 1, ev.owner, ev.line, op_idx, writebacks);
                 }
             }
             if res.is_hit() {
@@ -1068,10 +1027,10 @@ impl Hierarchy {
         out
     }
 
-    /// Delivers a writeback down the *private* stack from level
-    /// `start`; if no private level absorbs it, exports it (bound for
-    /// the shared level) instead of sending it to memory.
-    fn cascade_writeback_upper(
+    /// Delivers a writeback down the stack from unified level `start`;
+    /// if no level absorbs it, exports it to `sink` (bound for the
+    /// level behind the hierarchy).
+    fn cascade_writeback(
         &mut self,
         start: usize,
         owner: ProcessId,
@@ -1098,7 +1057,7 @@ impl Hierarchy {
     ///
     /// Private-level outcomes are a pure function of this core's own
     /// trace — no shared state is touched — which is what lets the
-    /// multicore batch engine pre-execute every core's private walk
+    /// multicore merge loop pre-walk every core's private levels
     /// and still replay the shared level in exact global op order.
     pub fn access_batch_upper_timed(
         &mut self,
@@ -1191,7 +1150,7 @@ impl Hierarchy {
         };
         events.clear();
         events.resize(ops.len(), OpTiming { cycles: self.l1_hit, miss_mask: 0, mem_writebacks: 0 });
-        out.cycles = self.batch_walk_events(pid, ops, Some(&mut out), Some(events));
+        out.cycles = self.batch_walk_events_export(pid, ops, Some(&mut out), Some(events), None);
         out
     }
 
@@ -1211,7 +1170,7 @@ impl Hierarchy {
         // event-conduit walk threads them like writebacks. The scan is
         // one predictable compare per op — noise next to the walk.
         if self.has_writeback || ops.iter().any(|op| op.kind == AccessKind::Flush) {
-            self.batch_walk_events(pid, ops, sink, None)
+            self.batch_walk_events_export(pid, ops, sink, None, None)
         } else {
             self.batch_walk_fast(pid, ops, sink)
         }
@@ -1219,6 +1178,14 @@ impl Hierarchy {
 
     /// The allocation-free fast walk for write-through configurations
     /// (no writebacks can occur, so the conduit carries lines only).
+    ///
+    /// It stays next to the event-conduit walk because removing it is
+    /// not shown to be free. Routing `batch_walk` always through the
+    /// events walk left the campaign benchmark's `sim_digest`
+    /// unchanged, but over 4 alternating pairs of 40 s `pwcet` runs (a
+    /// 2-vCPU Xeon host) the change/parent `ops_per_s` ratios were
+    /// 1.04, 0.93, 0.99 and 0.86, and `peak_rss_mb` was 4–8% higher
+    /// in every pair.
     fn batch_walk_fast(
         &mut self,
         pid: ProcessId,
@@ -1286,23 +1253,13 @@ impl Hierarchy {
     /// buffer drains. Optionally fills a per-op [`OpTiming`] vector
     /// (pre-sized by the caller to `ops.len()`, cycles initialized to
     /// the L1 hit cost).
-    fn batch_walk_events(
-        &mut self,
-        pid: ProcessId,
-        ops: &[TraceOp],
-        sink: Option<&mut HierarchyBatchOutcome>,
-        timing: Option<&mut Vec<OpTiming>>,
-    ) -> u64 {
-        self.batch_walk_events_export(pid, ops, sink, timing, None)
-    }
-
-    /// [`batch_walk_events`](Self::batch_walk_events) with an optional
-    /// shared-level export: when `llc` is given, the final conduit
-    /// state (last-level misses and surviving writebacks) is exported
-    /// as the shared-LLC request stream instead of being charged the
-    /// memory penalty, and `sink.mem_writebacks` counts only the
-    /// flush-forced drains (ordinary writebacks travel through the
-    /// exported stream — the shared level decides their fate).
+    ///
+    /// With a shared-level export (`llc`), the final conduit state
+    /// (last-level misses and surviving writebacks) is exported as the
+    /// shared-LLC request stream instead of being charged the memory
+    /// penalty, and `sink.mem_writebacks` counts only the flush-forced
+    /// drains (ordinary writebacks travel through the exported stream
+    /// — the shared level decides their fate).
     fn batch_walk_events_export(
         &mut self,
         pid: ProcessId,

@@ -10,11 +10,15 @@
 //!   arbitration;
 //! * **MSHR files** ([`mshr`]) bounding miss-level parallelism per
 //!   cache level and coalescing overlapping misses to one fill;
-//! * **multi-core execution** ([`multicore`]): N cores with private
-//!   [`Hierarchy`](tscache_core::hierarchy::Hierarchy) instances whose
-//!   last-level misses and memory-bound writebacks contend for the
-//!   bus, with a batched engine pinned bit-identical to the scalar
-//!   multi-core interleaving.
+//! * **multi-core execution** ([`multicore`]): one deterministic
+//!   event-merge loop ([`execute`]) over N cores with private
+//!   [`Hierarchy`](tscache_core::hierarchy::Hierarchy) instances — finite
+//!   traces run to completion ([`CoreRun`]) and persistent cyclic enemy
+//!   cores ([`CoRunner`]) — whose last-level misses and memory-bound
+//!   writebacks contend for the bus. It pre-walks private levels through
+//!   the hierarchy batch path; [`execute_reference`] runs the same loop
+//!   with per-op scalar walks, and the differential suite pins the two
+//!   bit-identical.
 //!
 //! With private hierarchies, contention is timing-only by
 //! construction: per-core cache contents, statistics and RNG streams
@@ -23,13 +27,15 @@
 //! curve can never undercut the solo curve of the same workload.
 //!
 //! With a **shared last level**
-//! ([`SharedLlc`](tscache_core::hierarchy::SharedLlc), the
-//! `*_shared` engines), contention additionally reaches cache *state*:
-//! cores evict each other's shared-level lines — the cross-core
-//! Prime+Probe channel of the §7 partitioning ablation — unless
-//! per-core way partitions on the shared level restore isolation.
-//! Either way both engines stay deterministic and bit-identical to the
-//! scalar interleaving.
+//! ([`SharedLlc`](tscache_core::hierarchy::SharedLlc), passed to the
+//! same loop), contention additionally reaches cache *state*: cores
+//! evict each other's shared-level lines — the cross-core Prime+Probe
+//! channel of the §7 partitioning ablation — unless per-core way
+//! partitions on the shared level restore isolation. On a coherent
+//! platform every op's MSI actions run in one function, [`coherence`],
+//! shared by the merge loop and the machine's scalar ops. Either way
+//! the loop stays deterministic and bit-identical to its reference
+//! walk.
 
 pub mod bus;
 pub mod mshr;
@@ -38,8 +44,6 @@ pub mod multicore;
 pub use bus::{Arbitration, Bus, BusConfig, BusReport};
 pub use mshr::{MshrConfig, MshrFile, MshrOutcome};
 pub use multicore::{
-    execute_batch, execute_batch_shared, execute_scalar, execute_scalar_shared,
-    run_contended_segment, run_contended_segment_shared, run_contended_segment_shared_with,
-    run_contended_segment_with, CoRunner, ContentionConfig, CoreReport, CoreRun,
-    InterferenceOutcome, SegmentOutcome, SystemConfig,
+    coherence, execute, execute_reference, CoRunner, CoherentOp, ContentionConfig, CoreReport,
+    CoreRun, Cores, InterferenceOutcome, SystemConfig,
 };

@@ -5,51 +5,74 @@
 //!
 //! # Execution model
 //!
-//! Cores are advanced by a deterministic discrete-event loop: at every
-//! step the core with the smallest clock (ties: lowest core index)
-//! executes its next op to completion. An op's cost is its solo
-//! hierarchy cost ([`OpTiming::cycles`]) plus any MSHR structural
-//! stall plus the queuing delay of its bus transactions. Contention is
-//! *timing-only*: cache contents, hit/miss outcomes, statistics and
-//! RNG draws per core are exactly those of the same trace run solo —
-//! which is what makes the batched engine possible at all.
+//! One deterministic discrete-event loop drives every multicore path.
+//! Its participants are *finite* cores ([`CoreRun`], a trace run to
+//! completion) and persistent *cyclic* co-runners ([`CoRunner`], an
+//! enemy trace replayed round after round across calls). At every step
+//! the participant with the smallest clock (ties: lowest core index)
+//! among those with work executes its next op to completion, and the
+//! loop runs while any finite core has ops left. N finite cores
+//! therefore run to completion, and one measured core plus co-runners
+//! runs until the measured trace ends: the trace segment a machine's
+//! replay charges. Co-runners only advance while their clocks trail a
+//! finite core's, so every transaction that could delay a finite core
+//! is arbitrated. Cores are numbered finite cores first, in slice
+//! order, then co-runners ([`Cores`]).
+//!
+//! An op's cost is its solo hierarchy cost ([`OpTiming::cycles`]) plus
+//! any MSHR structural stall plus the queuing delay of its bus
+//! transactions. With private hierarchies contention is *timing-only*:
+//! cache contents, hit/miss outcomes, statistics and RNG draws per core
+//! are exactly those of the same trace run solo.
 //!
 //! Clock ties between cores resolve by core index (lowest first), so
 //! permuting *distinct* cores may legitimately shift individual
 //! queuing waits; everything the caches and MSHRs decide — per-core
 //! base cycles, transaction, stall and coalesce counts — is invariant
-//! under core reordering (for [`run_contended_segment`], whose loop
-//! stops with the measured core, this holds for the measured core;
-//! enemy *progress* is interleaving-dependent by construction), and
-//! the unit/probe suites pin exactly that split.
+//! under core reordering (with co-runners, for the finite cores only:
+//! co-runner *progress* depends on the interleaving by construction),
+//! and the unit/probe suites pin exactly that split.
 //!
-//! [`execute_scalar`] is the reference: it interleaves per-op scalar
-//! hierarchy walks ([`Hierarchy::access_detailed`]) in event order.
-//! [`execute_batch`] first replays each core's whole trace through the
-//! hierarchy batch path ([`Hierarchy::access_batch_timed`]) — private
-//! caches make the per-core cache work independent of the interleaving
-//! — then runs the identical event loop over the recorded per-op
-//! events. The differential suite pins the two bit-identical across
-//! placement × replacement × depth × arbitration.
+//! # Batched and reference walks
+//!
+//! [`execute`] pre-walks each participant's private levels through the
+//! hierarchy batch path ([`Hierarchy::access_batch_timed`], or
+//! [`Hierarchy::access_batch_upper_timed`] in front of a shared LLC) —
+//! a finite core's whole trace at once, a co-runner's trace in chunks
+//! of `CO_CHUNK` (128) ops — and merges the recorded per-op outcomes.
+//! [`execute_reference`] runs the same loop but walks every op through
+//! the scalar path ([`Hierarchy::access_detailed`] /
+//! [`Hierarchy::access_upper_detailed`]) at merge time. Private levels
+//! make per-core cache work independent of the interleaving, so the two
+//! agree bit for bit; the differential suite pins reports, every
+//! private level and the shared cache across placement × replacement ×
+//! depth × arbitration, for finite cores and co-runners alike.
+//!
+//! A co-runner's pre-walked chunk may run ahead of the merge when a
+//! call returns; the next call consumes the rest, and
+//! [`CoRunner::flush`] or [`CoRunner::reclassify`] discards it (it then
+//! re-executes from the first unmerged op). The reference walks the
+//! same rest through the scalar path when its call returns, so both
+//! modes hand the next call the same caches and lookahead.
 //!
 //! # Shared last level
 //!
-//! [`execute_scalar_shared`]/[`execute_batch_shared`] run the same
-//! event merge over cores whose *last* unified level is one
-//! [`SharedLlc`] instance: each core's private levels stay per-core
-//! (and per-core outcomes stay interleaving-independent, which is what
-//! the batch engine pre-executes via
-//! [`Hierarchy::access_batch_upper_timed`]), while every shared-level
-//! fill and writeback is resolved against the one shared cache *at
-//! merge time*, in exact global op order. Unlike the private-hierarchy
-//! engines, contention here is **not** timing-only: cores evict each
-//! other's shared-level lines (the cross-core Prime+Probe channel),
-//! unless per-core way partitions on the shared level restore
-//! isolation. The shared-level order is a deterministic function of
-//! the clocks both engines compute identically, so batch remains
-//! bit-identical to scalar — the shared axis of the differential suite
-//! pins stats, contents and dirty lines of every private level *and*
-//! the shared cache.
+//! With a [`SharedLlc`], each core's private levels stay per-core while
+//! every shared-level fill and writeback is resolved against the one
+//! shared cache *at merge time*, in exact global op order. Contention
+//! then is **not** timing-only: cores evict each other's shared-level
+//! lines (the cross-core Prime+Probe channel) unless per-core way
+//! partitions on the shared level restore isolation. The shared-level
+//! order is a deterministic function of the clocks both walks compute
+//! identically, so they stay bit-identical.
+//!
+//! When the LLC has coherence armed, [`coherence`] runs the MSI actions
+//! of every op in one canonical sequence. A participant whose trace
+//! flushes or touches a coherence-tracked line walks op by op at merge
+//! time in both modes, so invalidations from other cores reach it
+//! before its next op; every other participant can never hold a
+//! tracked line, so no invalidation reaches it and pre-walking it stays
+//! sound.
 //!
 //! Bus accounting at the shared level: a shared-LLC **hit costs no bus
 //! transaction** — only LLC misses (off-chip reads) and writebacks
@@ -63,7 +86,7 @@ use crate::mshr::{MshrConfig, MshrFile, MshrOutcome};
 use tscache_core::addr::LineAddr;
 use tscache_core::cache::Writeback;
 use tscache_core::hierarchy::{
-    AccessKind, Hierarchy, LlcRequests, OpTiming, SharedLlc, TraceOp, UpperOutcome,
+    AccessKind, Hierarchy, LlcRequests, LlcResolution, OpTiming, SharedLlc, TraceOp,
 };
 use tscache_core::seed::ProcessId;
 use tscache_telemetry::{Event, RecorderHandle};
@@ -107,7 +130,7 @@ impl Default for ContentionConfig {
     }
 }
 
-/// One core's workload for a differential engine run.
+/// A core running a finite trace to completion.
 #[derive(Debug)]
 pub struct CoreRun<'a> {
     /// The core's private hierarchy.
@@ -151,13 +174,74 @@ pub struct CoreReport {
 /// Result of one engine run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InterferenceOutcome {
-    /// Per-core accounting, in core order.
+    /// Per-core accounting, in core order (finite cores, then
+    /// co-runners).
     pub cores: Vec<CoreReport>,
     /// Shared-bus accounting.
     pub bus: BusReport,
 }
 
-/// The deterministic event-merge state shared by both engines.
+/// Every core of a platform, numbered as the merge loop and the
+/// coherence directory number them: the finite cores first, then the
+/// co-runners.
+#[derive(Debug)]
+pub struct Cores<'s, 'a> {
+    /// Cores running a finite trace: core `j` is `runs[j]`.
+    pub runs: &'s mut [CoreRun<'a>],
+    /// Persistent co-runners: core `runs.len() + k` is `co[k]`.
+    pub co: &'s mut [CoRunner],
+}
+
+impl Cores<'_, '_> {
+    fn len(&self) -> usize {
+        self.runs.len() + self.co.len()
+    }
+
+    fn pid(&self, j: usize) -> ProcessId {
+        match j.checked_sub(self.runs.len()) {
+            None => self.runs[j].pid,
+            Some(k) => self.co[k].pid,
+        }
+    }
+
+    fn hierarchy(&mut self, j: usize) -> &mut Hierarchy {
+        match j.checked_sub(self.runs.len()) {
+            None => &mut *self.runs[j].hierarchy,
+            Some(k) => &mut self.co[k].hierarchy,
+        }
+    }
+
+    /// Core `j` as a merge lane; `cursors` holds the finite cores'
+    /// progress (a co-runner carries its own).
+    #[inline]
+    fn lane<'l>(&'l mut self, cursors: &'l mut [Cursor], j: usize) -> Lane<'l> {
+        match j.checked_sub(self.runs.len()) {
+            None => {
+                let r = &mut self.runs[j];
+                Lane {
+                    hierarchy: &mut *r.hierarchy,
+                    pid: r.pid,
+                    ops: r.ops,
+                    cyclic: false,
+                    cur: &mut cursors[j],
+                }
+            }
+            Some(k) => {
+                let r = &mut self.co[k];
+                Lane {
+                    hierarchy: &mut r.hierarchy,
+                    pid: r.pid,
+                    ops: &r.ops,
+                    cyclic: true,
+                    cur: &mut r.cursor,
+                }
+            }
+        }
+    }
+}
+
+/// The deterministic event-merge state: bus, MSHR files, per-core
+/// clocks and reports.
 struct Merger {
     bus: Bus,
     /// MSHR files per core per level (empty when disabled).
@@ -192,16 +276,11 @@ impl Merger {
     }
 
     /// Executes op `seq` of `core` (touching `line`) with solo timing
-    /// `t`: MSHR checks, then bus arbitration for its transactions.
-    fn step(&mut self, core: usize, seq: u64, line: u64, t: OpTiming) {
-        self.step_coh(core, seq, line, t, 0);
-    }
-
-    /// [`step`](Self::step) with `coh_txns` additional coherence
+    /// `t`: MSHR checks, then bus arbitration for its read and
+    /// writeback transactions, then for `coh_txns` coherence
     /// transactions (upgrade invalidations, flush broadcasts,
-    /// back-invalidations) arbitrating on the bus after the op's read
-    /// and writeback transactions.
-    fn step_coh(&mut self, core: usize, seq: u64, line: u64, t: OpTiming, coh_txns: u8) {
+    /// back-invalidations).
+    fn step(&mut self, core: usize, seq: u64, line: u64, t: OpTiming, coh_txns: u8) {
         let depth = self.depths[core];
         let ts0 = self.clocks[core];
         if let Some(rec) = &self.recorder {
@@ -323,86 +402,183 @@ impl Merger {
     }
 }
 
-/// The reference engine: a scalar multi-core interleaving, walking one
-/// op at a time on the event-ordered core through the scalar hierarchy
-/// path.
-pub fn execute_scalar(cores: &mut [CoreRun<'_>], cfg: &SystemConfig) -> InterferenceOutcome {
-    let depths: Vec<usize> = cores.iter().map(|c| c.hierarchy.depth()).collect();
-    let offsets: Vec<u32> =
-        cores.iter().map(|c| c.hierarchy.l1i().geometry().offset_bits()).collect();
-    let mut merger = Merger::new(cfg, depths);
-    let mut pos = vec![0usize; cores.len()];
-    while let Some(c) = merger.next_core(|c| pos[c] < cores[c].ops.len()) {
-        let op = cores[c].ops[pos[c]];
-        let t = cores[c].hierarchy.access_detailed(cores[c].pid, op.kind, op.addr);
-        merger.step(c, pos[c] as u64, op.addr.line(offsets[c]).as_u64(), t);
-        pos[c] += 1;
+/// Which private walk a run uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Walk {
+    /// Pre-walk each chunk through the hierarchy batch path.
+    Batched,
+    /// Walk each op through the scalar path at merge time.
+    PerOp,
+}
+
+/// Ops a co-runner pre-walks per hierarchy batch call (a finite core
+/// pre-walks its whole trace at once).
+const CO_CHUNK: usize = 128;
+
+/// Merge progress of one participant: its trace position, its op
+/// clock, and the chunk of its trace a batched run pre-walks.
+#[derive(Debug, Default)]
+struct Cursor {
+    /// Next op to merge.
+    pos: usize,
+    /// Ops merged over the participant's lifetime: the sequence number
+    /// MSHR op windows expire against.
+    seq: u64,
+    /// The open chunk is `base..end`; none is open while `pos >= end`.
+    base: usize,
+    end: usize,
+    /// The open chunk was opened in front of a shared LLC.
+    shared: bool,
+    /// Batched runs: the open chunk's pre-walked private timings
+    /// (`events[i]` is op `base + i`) and its shared-level requests,
+    /// with their consumption cursors. Empty for a chunk the reference
+    /// walks at merge time.
+    events: Vec<OpTiming>,
+    requests: LlcRequests,
+    fill_pos: usize,
+    wb_pos: usize,
+    /// Memoized [`prebatchable`] verdict (the trace and the LLC's
+    /// coherent ranges are fixed while it is set).
+    prebatch: Option<bool>,
+}
+
+impl Cursor {
+    /// Walks the open chunk's unmerged ops `pos..end` ahead of the
+    /// merge and buffers their outcomes: through the hierarchy batch
+    /// path, or op by op through the scalar path in the export order
+    /// the batch path pins (a reference run's lookahead at the end of
+    /// a call).
+    fn walk_ahead(&mut self, h: &mut Hierarchy, pid: ProcessId, ops: &[TraceOp], walk: Walk) {
+        let chunk = &ops[self.pos..self.end];
+        self.base = self.pos;
+        self.fill_pos = 0;
+        self.wb_pos = 0;
+        self.requests.clear();
+        match (walk, self.shared) {
+            (Walk::Batched, true) => {
+                h.access_batch_upper_timed(pid, chunk, &mut self.events, &mut self.requests);
+            }
+            (Walk::Batched, false) => {
+                h.access_batch_timed(pid, chunk, &mut self.events);
+            }
+            (Walk::PerOp, shared) => {
+                self.events.clear();
+                for (i, op) in chunk.iter().enumerate() {
+                    self.events.push(if shared {
+                        let wbs = &mut self.requests.writebacks;
+                        let up = h.access_upper_detailed(pid, op.kind, op.addr, i as u32, wbs);
+                        if let Some(line) = up.fill {
+                            self.requests.fills.push(line);
+                            self.requests.fill_idx.push(i as u32);
+                        }
+                        OpTiming {
+                            cycles: up.cycles,
+                            miss_mask: up.miss_mask,
+                            mem_writebacks: up.mem_writebacks,
+                        }
+                    } else {
+                        h.access_detailed(pid, op.kind, op.addr)
+                    });
+                }
+            }
+        }
     }
-    merger.finish()
 }
 
-/// The production engine: each core's trace runs through the hierarchy
-/// batch path first (private caches make per-core outcomes independent
-/// of the interleaving), then the identical event merge replays the
-/// recorded per-op timings against the bus and MSHRs. Bit-identical to
-/// [`execute_scalar`] — stats, cycles, writeback counts and final
-/// contents — as the differential suite pins.
-pub fn execute_batch(cores: &mut [CoreRun<'_>], cfg: &SystemConfig) -> InterferenceOutcome {
-    let depths: Vec<usize> = cores.iter().map(|c| c.hierarchy.depth()).collect();
-    let offsets: Vec<u32> =
-        cores.iter().map(|c| c.hierarchy.l1i().geometry().offset_bits()).collect();
-    let events: Vec<Vec<OpTiming>> = cores
-        .iter_mut()
-        .map(|core| {
-            let mut ev = Vec::new();
-            core.hierarchy.access_batch_timed(core.pid, core.ops, &mut ev);
-            ev
-        })
-        .collect();
-    let mut merger = Merger::new(cfg, depths);
-    let mut pos = vec![0usize; cores.len()];
-    while let Some(c) = merger.next_core(|c| pos[c] < cores[c].ops.len()) {
-        let op = cores[c].ops[pos[c]];
-        merger.step(c, pos[c] as u64, op.addr.line(offsets[c]).as_u64(), events[c][pos[c]]);
-        pos[c] += 1;
+/// One participant, as the merge loop drives it for one op.
+struct Lane<'l> {
+    hierarchy: &'l mut Hierarchy,
+    pid: ProcessId,
+    ops: &'l [TraceOp],
+    /// A co-runner: its trace wraps and it pre-walks `CO_CHUNK`-op
+    /// chunks.
+    cyclic: bool,
+    cur: &'l mut Cursor,
+}
+
+/// One op's private-level outcome: its timing through the private
+/// levels and, in front of a shared LLC, its fill request and the
+/// writebacks to deliver before it.
+struct Private<'w> {
+    seq: u64,
+    op: TraceOp,
+    t: OpTiming,
+    fill: Option<LineAddr>,
+    wbs: &'w [Writeback],
+}
+
+impl Lane<'_> {
+    /// Walks (or takes the pre-walked outcome of) the lane's next op,
+    /// opening a chunk first when none is open and the lane may be
+    /// pre-walked on this platform.
+    #[inline]
+    fn next<'w>(
+        &'w mut self,
+        llc: Option<&SharedLlc>,
+        walk: Walk,
+        scratch: &'w mut Vec<Writeback>,
+    ) -> Private<'w> {
+        let cur = &mut *self.cur;
+        if cur.pos >= cur.end {
+            if cur.pos >= self.ops.len() {
+                cur.pos = 0;
+                cur.end = 0;
+            }
+            let offset_bits = self.hierarchy.l1i().geometry().offset_bits();
+            let chunked = llc.is_none_or(|llc| {
+                *cur.prebatch.get_or_insert_with(|| prebatchable(self.ops, llc, offset_bits))
+            });
+            if chunked {
+                cur.end = if self.cyclic {
+                    (cur.pos + CO_CHUNK).min(self.ops.len())
+                } else {
+                    self.ops.len()
+                };
+                cur.shared = llc.is_some();
+                cur.events.clear();
+                if walk == Walk::Batched {
+                    cur.walk_ahead(self.hierarchy, self.pid, self.ops, Walk::Batched);
+                }
+            }
+        }
+        let op = self.ops[cur.pos];
+        let (t, fill, wbs) = if cur.pos < cur.end && !cur.events.is_empty() {
+            // A pre-walked private-platform chunk carries memory
+            // penalties and no requests: replaying it in front of a
+            // shared LLC would silently skip the shared level.
+            assert_eq!(cur.shared, llc.is_some(), "participant changed platforms mid-chunk");
+            let i = cur.pos - cur.base;
+            let (fill, wbs) = if cur.shared {
+                cur.requests.take_for_op(i as u32, &mut cur.fill_pos, &mut cur.wb_pos)
+            } else {
+                (None, &[][..])
+            };
+            (cur.events[i], fill, wbs)
+        } else if llc.is_some() {
+            scratch.clear();
+            let up = self.hierarchy.access_upper_detailed(self.pid, op.kind, op.addr, 0, scratch);
+            let t = OpTiming {
+                cycles: up.cycles,
+                miss_mask: up.miss_mask,
+                mem_writebacks: up.mem_writebacks,
+            };
+            (t, up.fill, &scratch[..])
+        } else {
+            (self.hierarchy.access_detailed(self.pid, op.kind, op.addr), None, &[][..])
+        };
+        cur.pos += 1;
+        cur.seq += 1;
+        Private { seq: cur.seq - 1, op, t, fill, wbs }
     }
-    merger.finish()
 }
 
-/// Composes one op's private-level timing with its shared-level
-/// resolution: a hit costs only the shared level's hit cycles (no bus
-/// transaction), a miss adds the memory penalty and sets the shared
-/// level's miss bit (`shared_bit`), and unabsorbed writebacks plus a
-/// dirty shared-level victim become memory-bound bus writes.
-fn compose_llc(
-    mut t: OpTiming,
-    r: tscache_core::hierarchy::LlcResolution,
-    shared_bit: u8,
-) -> OpTiming {
-    t.cycles += r.cycles;
-    if r.miss {
-        t.miss_mask |= 1 << shared_bit;
-    }
-    t.mem_writebacks += r.mem_writebacks;
-    t
-}
-
-/// Lifts a private-levels-only [`UpperOutcome`] into an [`OpTiming`]
-/// awaiting its shared-level composition.
-fn upper_timing(up: &UpperOutcome) -> OpTiming {
-    OpTiming { cycles: up.cycles, miss_mask: up.miss_mask, mem_writebacks: up.mem_writebacks }
-}
-
-/// Whether a core's trace may be pre-executed through its private
-/// levels on a shared platform: it must contain no
-/// [`AccessKind::Flush`] ops (their shared-level and coherence side
-/// runs at merge time) and — once coherence is armed — touch no
-/// coherence-tracked line (other cores' invalidations may then reach
-/// into this core's private levels mid-trace, so its private outcomes
-/// are no longer a pure function of its own trace). A core that fails
-/// the test walks op by op at merge time instead; a core that passes
-/// can never hold a tracked line, so no invalidation ever reaches it —
-/// which is exactly what keeps its pre-execution sound.
+/// Whether a trace may be pre-walked through its private levels on a
+/// shared platform: it must contain no [`AccessKind::Flush`] ops (their
+/// shared-level and coherence side runs at merge time) and — once
+/// coherence is armed — touch no coherence-tracked line (other cores'
+/// invalidations may then reach into its private levels mid-trace, so
+/// its private outcomes are no longer a pure function of its own
+/// trace).
 fn prebatchable(ops: &[TraceOp], llc: &SharedLlc, offset_bits: u32) -> bool {
     let coherent = llc.has_coherence();
     ops.iter().all(|op| {
@@ -411,14 +587,201 @@ fn prebatchable(ops: &[TraceOp], llc: &SharedLlc, offset_bits: u32) -> bool {
     })
 }
 
+/// Composes one op's private-level timing with its shared-level
+/// resolution: a hit costs only the shared level's hit cycles (no bus
+/// transaction), a miss adds the memory penalty and sets the shared
+/// level's miss bit (`shared_bit`), and unabsorbed writebacks plus a
+/// dirty shared-level victim become memory-bound bus writes.
+fn compose_llc(mut t: OpTiming, r: LlcResolution, shared_bit: usize) -> OpTiming {
+    t.cycles += r.cycles;
+    if r.miss {
+        t.miss_mask |= 1 << shared_bit;
+    }
+    t.mem_writebacks += r.mem_writebacks;
+    t
+}
+
+/// The one merge loop behind [`execute`] and [`execute_reference`].
+fn run(
+    mut cores: Cores<'_, '_>,
+    mut llc: Option<&mut SharedLlc>,
+    cfg: &SystemConfig,
+    walk: Walk,
+    recorder: Option<&RecorderHandle>,
+) -> InterferenceOutcome {
+    let n = cores.runs.len();
+    let shared = llc.is_some() as usize;
+    let depths = (0..cores.len()).map(|j| cores.hierarchy(j).depth() + shared).collect();
+    let offsets: Vec<u32> =
+        (0..cores.len()).map(|j| cores.hierarchy(j).l1i().geometry().offset_bits()).collect();
+    let mut merger = Merger::new(cfg, depths);
+    merger.recorder = recorder.cloned();
+    let mut cursors: Vec<Cursor> = (0..n).map(|_| Cursor::default()).collect();
+    let mut live = cores.runs.iter().filter(|r| !r.ops.is_empty()).count();
+    let mut scratch: Vec<Writeback> = Vec::new();
+    let coherent = llc.as_deref().is_some_and(SharedLlc::has_coherence);
+    while live > 0 {
+        let c = merger
+            .next_core(|j| j >= n || cursors[j].pos < cores.runs[j].ops.len())
+            .expect("a finite core has ops left");
+        let mut lane = cores.lane(&mut cursors, c);
+        let pid = lane.pid;
+        let p = lane.next(llc.as_deref(), walk, &mut scratch);
+        let line = p.op.addr.line(offsets[c]);
+        let (mut t, victim) = match llc.as_deref_mut() {
+            Some(llc) => {
+                let (r, victim) = llc.resolve_evict(pid, p.fill, p.wbs);
+                (compose_llc(p.t, r, merger.depths[c] - 1), victim)
+            }
+            None => (p.t, None),
+        };
+        let (seq, kind, fill) = (p.seq, p.op.kind, p.fill);
+        let mut coh_txns = 0;
+        if let Some(llc) = llc.as_deref_mut().filter(|_| coherent) {
+            let op = CoherentOp { core: c, kind, line, fill, victim };
+            let trace = merger.recorder.as_ref().map(|rec| (rec, merger.clocks[c]));
+            let (txns, dirty) = coherence(llc, &mut cores, op, Some(&mut merger.reports), trace);
+            coh_txns = txns;
+            t.mem_writebacks += dirty;
+        }
+        merger.step(c, seq, line.as_u64(), t, coh_txns);
+        if c < n && cursors[c].pos == cores.runs[c].ops.len() {
+            live -= 1;
+        }
+    }
+    if walk == Walk::PerOp {
+        // A batched run leaves each co-runner's open chunk pre-walked
+        // past the merge; walk the same ops now, so both modes hand
+        // the next call (or a flush) the same caches and lookahead.
+        for co in cores.co.iter_mut() {
+            let cur = &mut co.cursor;
+            if cur.pos < cur.end && cur.events.is_empty() {
+                cur.walk_ahead(&mut co.hierarchy, co.pid, &co.ops, Walk::PerOp);
+            }
+        }
+    }
+    merger.finish()
+}
+
+/// Runs `runs` to completion alongside the persistent co-runners `co`
+/// (see the module docs for the loop), pre-walking private levels
+/// through the hierarchy batch path. With `llc`, every core's last
+/// level is that one shared cache. Bus and MSHR state start fresh per
+/// call; co-runner trace position and cache state carry over. The
+/// optional `recorder` observes the merge without changing any
+/// outcome. Bit-identical to [`execute_reference`], as the
+/// differential suite pins.
+pub fn execute(
+    runs: &mut [CoreRun<'_>],
+    co: &mut [CoRunner],
+    llc: Option<&mut SharedLlc>,
+    cfg: &SystemConfig,
+    recorder: Option<&RecorderHandle>,
+) -> InterferenceOutcome {
+    run(Cores { runs, co }, llc, cfg, Walk::Batched, recorder)
+}
+
+/// The reference engine: [`execute`]'s loop with every op walked
+/// through the scalar hierarchy path at merge time.
+pub fn execute_reference(
+    runs: &mut [CoreRun<'_>],
+    co: &mut [CoRunner],
+    llc: Option<&mut SharedLlc>,
+    cfg: &SystemConfig,
+) -> InterferenceOutcome {
+    run(Cores { runs, co }, llc, cfg, Walk::PerOp, None)
+}
+
+/// One op as the coherence protocol sees it, after its shared-level
+/// resolution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoherentOp {
+    /// The issuing core, numbered as in [`Cores`].
+    pub core: usize,
+    /// The op's kind.
+    pub kind: AccessKind,
+    /// The line the op touched.
+    pub line: LineAddr,
+    /// The line the op requested from the shared level, if any.
+    pub fill: Option<LineAddr>,
+    /// The line that fill displaced from the shared level, if any.
+    pub victim: Option<LineAddr>,
+}
+
+/// Runs the MSI actions of one op on a coherent platform, in the one
+/// canonical order every multicore path shares. After (1) the op's
+/// private walk and (2) its writebacks and fill against the shared
+/// level come (3) inclusive back-invalidation when the fill evicted a
+/// tracked line, (4) sharer recording for a tracked fill, (5) upgrade
+/// invalidations for a write to a tracked line, and (6) the flush
+/// broadcast: the other cores' private copies (the issuer drained its
+/// own in its private walk) and the shared-level copies under every
+/// core's placement view.
+///
+/// Returns the coherence bus transactions the op issued and the dirty
+/// copies it drained (memory-bound bus writes charged to the op).
+/// `reports`, when given, credits each receiving core with the copies
+/// it lost; `recorder` pairs a trace sink with the op's timestamp.
+/// Does nothing while the LLC has no coherent range.
+pub fn coherence(
+    llc: &mut SharedLlc,
+    cores: &mut Cores<'_, '_>,
+    op: CoherentOp,
+    mut reports: Option<&mut [CoreReport]>,
+    recorder: Option<(&RecorderHandle, u64)>,
+) -> (u8, u8) {
+    if !llc.has_coherence() {
+        return (0, 0);
+    }
+    let (c, line) = (op.core, op.line);
+    let record = |event: Event| {
+        if let Some((rec, ts)) = recorder {
+            rec.borrow_mut().record(ts, event);
+        }
+    };
+    let (mut txns, mut dirty) = (0u8, 0u8);
+    if let Some(victim) = op.victim.filter(|&v| llc.is_coherent_line(v)) {
+        let sharers = llc.clear_sharers(victim);
+        if sharers != 0 {
+            txns += 1;
+            dirty += drain(cores, reports.as_deref_mut(), sharers, victim);
+            record(Event::CohBackInvalidate { core: c as u8 });
+        }
+    }
+    if op.fill.is_some_and(|l| llc.is_coherent_line(l)) {
+        llc.note_sharer(line, c);
+    }
+    if op.kind == AccessKind::Write && llc.is_coherent_line(line) {
+        let others = llc.retain_sharer(line, c);
+        if others != 0 {
+            txns += 1;
+            dirty += drain(cores, reports.as_deref_mut(), others, line);
+            let invalidated = others.count_ones().min(u8::MAX as u32) as u8;
+            record(Event::CohUpgrade { core: c as u8, invalidated });
+        }
+    }
+    if op.kind == AccessKind::Flush && llc.is_coherent_line(line) {
+        txns += 1;
+        let sharers = llc.clear_sharers(line) & !(1u32 << c);
+        dirty += drain(cores, reports, sharers, line);
+        for j in 0..cores.len() {
+            if llc.invalidate_copy(cores.pid(j), line).dirty {
+                dirty += 1;
+            }
+        }
+        let invalidated = sharers.count_ones().min(u8::MAX as u32) as u8;
+        record(Event::CohFlush { core: c as u8, invalidated });
+    }
+    (txns, dirty)
+}
+
 /// Drains the private copies of `line` from every core whose bit is
-/// set in `targets` (a directory bitmap), crediting each drained
-/// core's report with the copies it lost. Returns the number of dirty
-/// copies drained — memory-bound bus writes charged to the issuing op.
-fn invalidate_cores(
-    cores: &mut [CoreRun<'_>],
-    pids: &[ProcessId],
-    reports: &mut [CoreReport],
+/// set in `targets` (a directory bitmap; bits past the platform's cores
+/// are skipped), crediting each receiver's report with the copies it
+/// lost. Returns the dirty copies drained.
+fn drain(
+    cores: &mut Cores<'_, '_>,
+    mut reports: Option<&mut [CoreReport]>,
     targets: u32,
     line: LineAddr,
 ) -> u8 {
@@ -430,201 +793,26 @@ fn invalidate_cores(
         if j >= cores.len() {
             continue;
         }
-        let inv = cores[j].hierarchy.invalidate_line(pids[j], line);
-        reports[j].coh_invalidations += inv.copies as u64;
+        let pid = cores.pid(j);
+        let inv = cores.hierarchy(j).invalidate_line(pid, line);
+        if let Some(reports) = reports.as_deref_mut() {
+            reports[j].coh_invalidations += inv.copies as u64;
+        }
         dirty += inv.dirty;
     }
     dirty.min(u8::MAX as u32) as u8
 }
 
-/// The unified shared-LLC engine behind [`execute_scalar_shared`] and
-/// [`execute_batch_shared`]: per-core private walks (pre-executed for
-/// cores [`prebatchable`] allows, per-op at merge time otherwise),
-/// shared-level resolution in exact global clock order, and — when the
-/// LLC has coherence armed — the MSI actions in a canonical per-op
-/// sequence: (1) private walk, (2) the op's writebacks then fill
-/// against the LLC, (3) inclusive back-invalidation when the fill
-/// evicted a tracked line, (4) sharer recording for a tracked fill,
-/// (5) upgrade invalidations for a write to a tracked line, (6) the
-/// flush broadcast. Both engines run this identical sequence, so they
-/// are structurally incapable of diverging on coherence order.
-fn run_shared_engine(
-    cores: &mut [CoreRun<'_>],
-    llc: &mut SharedLlc,
-    cfg: &SystemConfig,
-    batch: bool,
-) -> InterferenceOutcome {
-    /// Per-core execution mode.
-    enum CoreMode {
-        /// Pre-executed private walk + exported request stream.
-        Batched { events: Vec<OpTiming>, stream: LlcRequests, fill_pos: usize, wb_pos: usize },
-        /// Per-op private walk at merge time.
-        PerOp,
-    }
-
-    let depths: Vec<usize> = cores.iter().map(|c| c.hierarchy.depth() + 1).collect();
-    let offsets: Vec<u32> =
-        cores.iter().map(|c| c.hierarchy.l1i().geometry().offset_bits()).collect();
-    let pids: Vec<ProcessId> = cores.iter().map(|c| c.pid).collect();
-    let mut modes: Vec<CoreMode> = Vec::with_capacity(cores.len());
-    for (c, core) in cores.iter_mut().enumerate() {
-        if batch && prebatchable(core.ops, llc, offsets[c]) {
-            let mut events = Vec::new();
-            let mut stream = LlcRequests::default();
-            core.hierarchy.access_batch_upper_timed(core.pid, core.ops, &mut events, &mut stream);
-            modes.push(CoreMode::Batched { events, stream, fill_pos: 0, wb_pos: 0 });
-        } else {
-            modes.push(CoreMode::PerOp);
-        }
-    }
-    let coherent = llc.has_coherence();
-    let mut merger = Merger::new(cfg, depths.clone());
-    let mut pos = vec![0usize; cores.len()];
-    let mut wb_scratch: Vec<Writeback> = Vec::new();
-    while let Some(c) = merger.next_core(|c| pos[c] < cores[c].ops.len()) {
-        let i = pos[c];
-        let op = cores[c].ops[i];
-        let line = op.addr.line(offsets[c]);
-        let shared_bit = (depths[c] - 1) as u8;
-        // (1)+(2): private levels, then writebacks and fill against
-        // the shared cache.
-        let (mut t, fill, evicted) = match &mut modes[c] {
-            CoreMode::Batched { events, stream, fill_pos, wb_pos } => {
-                let (fill, wbs) = stream.take_for_op(i as u32, fill_pos, wb_pos);
-                let (r, ev) = llc.resolve_evict(pids[c], fill, wbs);
-                (compose_llc(events[i], r, shared_bit), fill, ev)
-            }
-            CoreMode::PerOp => {
-                wb_scratch.clear();
-                let up = cores[c].hierarchy.access_upper_detailed(
-                    pids[c],
-                    op.kind,
-                    op.addr,
-                    i as u32,
-                    &mut wb_scratch,
-                );
-                let (r, ev) = llc.resolve_evict(pids[c], up.fill, &wb_scratch);
-                (compose_llc(upper_timing(&up), r, shared_bit), up.fill, ev)
-            }
-        };
-        let mut coh_txns = 0u8;
-        if coherent {
-            // (3) Inclusive back-invalidation: the fill displaced a
-            // tracked line from the shared level, so no private copy
-            // may survive it.
-            if let Some(victim) = evicted.filter(|&v| llc.is_coherent_line(v)) {
-                let sharers = llc.clear_sharers(victim);
-                if sharers != 0 {
-                    coh_txns += 1;
-                    t.mem_writebacks +=
-                        invalidate_cores(cores, &pids, &mut merger.reports, sharers, victim);
-                }
-            }
-            // (4) A tracked fill records this core as a holder.
-            if fill.is_some_and(|l| llc.is_coherent_line(l)) {
-                llc.note_sharer(line, c);
-            }
-            // (5) Upgrade: a write to a tracked line drains every
-            // other holder's copies.
-            if op.kind == AccessKind::Write && llc.is_coherent_line(line) {
-                let others = llc.retain_sharer(line, c);
-                if others != 0 {
-                    coh_txns += 1;
-                    t.mem_writebacks +=
-                        invalidate_cores(cores, &pids, &mut merger.reports, others, line);
-                }
-            }
-            // (6) Flush broadcast: drain every tracked copy — the
-            // other cores' private copies (the issuer already drained
-            // its own in the private walk) and the shared-level copies
-            // under every core's placement view.
-            if op.kind == AccessKind::Flush && llc.is_coherent_line(line) {
-                coh_txns += 1;
-                let sharers = llc.clear_sharers(line) & !(1u32 << c);
-                t.mem_writebacks +=
-                    invalidate_cores(cores, &pids, &mut merger.reports, sharers, line);
-                for &pid in &pids {
-                    if llc.invalidate_copy(pid, line).dirty {
-                        t.mem_writebacks += 1;
-                    }
-                }
-            }
-        }
-        merger.step_coh(c, i as u64, line.as_u64(), t, coh_txns);
-        pos[c] += 1;
-    }
-    merger.finish()
-}
-
-/// The reference engine for shared-LLC platforms: a scalar multi-core
-/// interleaving where the event-ordered core walks its op through its
-/// *private* levels ([`Hierarchy::access_upper_detailed`]) and then
-/// resolves the shared last level — and any coherence actions — in
-/// place. Cores access the shared cache under their own pid, so
-/// per-core way partitions and cross-core eviction accounting apply
-/// directly.
-pub fn execute_scalar_shared(
-    cores: &mut [CoreRun<'_>],
-    llc: &mut SharedLlc,
-    cfg: &SystemConfig,
-) -> InterferenceOutcome {
-    run_shared_engine(cores, llc, cfg, false)
-}
-
-/// The production engine for shared-LLC platforms: every core whose
-/// trace is coherence-free is pre-executed through its private levels
-/// ([`Hierarchy::access_batch_upper_timed`], valid because such a
-/// core's private outcomes are interleaving-independent — it can never
-/// hold a coherence-tracked line, so no invalidation reaches it),
-/// exporting the per-core shared-level request streams; cores that
-/// flush or touch tracked lines walk op by op at merge time. The event
-/// merge then replays everything against the one shared cache in the
-/// exact clock order the scalar engine produces. Bit-identical to
-/// [`execute_scalar_shared`] — engine outcomes (including coherence
-/// counters), every private level, and the shared cache — as the
-/// differential suite pins.
-pub fn execute_batch_shared(
-    cores: &mut [CoreRun<'_>],
-    llc: &mut SharedLlc,
-    cfg: &SystemConfig,
-) -> InterferenceOutcome {
-    run_shared_engine(cores, llc, cfg, true)
-}
-
-/// Ops a co-runner pre-executes per hierarchy batch call.
-const CO_CHUNK: usize = 128;
-
 /// A persistent enemy core: a private hierarchy cyclically replaying
 /// an enemy trace alongside the measured core. Trace position and
-/// cache state persist across segments, so a long campaign sees the
+/// cache state persist across calls, so a long campaign sees the
 /// enemy's steady-state working set rather than a cold cache per job.
 #[derive(Debug)]
 pub struct CoRunner {
     hierarchy: Hierarchy,
     pid: ProcessId,
     ops: Vec<TraceOp>,
-    offset_bits: u32,
-    /// Next unexecuted op of the cyclic trace.
-    pos: usize,
-    /// Pre-executed events not yet consumed by the merge.
-    events: Vec<OpTiming>,
-    evt_pos: usize,
-    /// Trace index of `events[0]`.
-    chunk_start: usize,
-    /// Total ops executed over the core's lifetime — the monotone
-    /// sequence number the MSHR op-window expiry is measured against.
-    seq: u64,
-    /// Shared-LLC mode only: the current chunk's shared-level request
-    /// stream (chunk-relative op indices) and its consumption cursors.
-    llc_requests: LlcRequests,
-    fill_pos: usize,
-    wb_pos: usize,
-    /// Which walk pre-executed the buffered chunk; a co-runner must be
-    /// driven in one mode for its whole lifetime.
-    chunk_shared: bool,
-    /// Memoized [`prebatchable`] verdict for this co-runner's (fixed)
-    /// trace on the platform's LLC, computed on first shared-mode use.
-    prebatch: Option<bool>,
+    cursor: Cursor,
 }
 
 impl CoRunner {
@@ -636,23 +824,7 @@ impl CoRunner {
     /// Panics if `ops` is empty.
     pub fn new(hierarchy: Hierarchy, pid: ProcessId, ops: Vec<TraceOp>) -> Self {
         assert!(!ops.is_empty(), "co-runner needs a non-empty trace");
-        let offset_bits = hierarchy.l1i().geometry().offset_bits();
-        CoRunner {
-            hierarchy,
-            pid,
-            ops,
-            offset_bits,
-            pos: 0,
-            events: Vec::new(),
-            evt_pos: 0,
-            chunk_start: 0,
-            seq: 0,
-            llc_requests: LlcRequests::default(),
-            fill_pos: 0,
-            wb_pos: 0,
-            chunk_shared: false,
-            prebatch: None,
-        }
+        CoRunner { hierarchy, pid, ops, cursor: Cursor::default() }
     }
 
     /// The enemy core's hierarchy (statistics inspection).
@@ -670,514 +842,31 @@ impl CoRunner {
         self.pid
     }
 
-    /// Discards the pre-executed lookahead, rewinding the trace
-    /// cursor to the first position the merge has not yet consumed
-    /// (a per-op-mode co-runner has no lookahead and keeps its cursor),
+    /// Discards the unmerged rest of the open chunk, so the next merged
+    /// op re-executes from the first position no merge has consumed,
     /// and forgets the memoized pre-batchability verdict. Required
     /// whenever the platform's coherence configuration changes after
-    /// this co-runner already ran: the buffered chunk was pre-executed
-    /// under the old classification.
+    /// this co-runner already ran: the chunk was pre-walked under the
+    /// old classification.
     pub fn reclassify(&mut self) {
-        if self.evt_pos < self.events.len() {
-            // Chunked mode with unconsumed lookahead: rewind to the
-            // first unmerged op. In per-op mode (or with the buffer
-            // fully drained) `pos` is already the next op.
-            self.pos = self.chunk_start + self.evt_pos;
-        }
-        self.chunk_start = self.pos;
-        self.events.clear();
-        self.evt_pos = 0;
-        self.llc_requests.clear();
-        self.fill_pos = 0;
-        self.wb_pos = 0;
-        self.prebatch = None;
+        let cur = &mut self.cursor;
+        cur.end = cur.pos;
+        cur.events.clear();
+        cur.requests.clear();
+        cur.prebatch = None;
     }
 
-    /// Flushes the enemy core's caches and discards its pre-executed
-    /// lookahead: the next merged op re-executes from the cold cache
-    /// at the first position the merge has not yet consumed. A
-    /// hyperperiod flush lands between segments, where the buffered
-    /// lookahead is model speculation (pre-executed against the
+    /// Flushes the enemy core's caches and discards its unmerged
+    /// lookahead ([`reclassify`](Self::reclassify)): the next merged op
+    /// re-executes on the cold cache from the first position no merge
+    /// has consumed. A hyperperiod flush lands between segments, where
+    /// the lookahead is model speculation (pre-walked against the
     /// pre-flush state), not architected history — so it is dropped
     /// rather than replayed; the trace *position* survives. Dirty
     /// lines drain to memory, counted by the caches they leave.
     pub fn flush(&mut self) {
         self.reclassify();
         self.hierarchy.flush_all();
-    }
-
-    /// Drains this enemy core's private copies of `line` — the
-    /// receiving side of a coherence action issued elsewhere on the
-    /// platform (the machine's scalar flush primitive uses this; the
-    /// engines reach the hierarchy directly).
-    pub fn invalidate_line(
-        &mut self,
-        line: LineAddr,
-    ) -> tscache_core::hierarchy::HierarchyInvalidation {
-        self.hierarchy.invalidate_line(self.pid, line)
-    }
-
-    /// Pre-executes the next trace chunk through the batch path.
-    fn refill(&mut self) {
-        if self.pos >= self.ops.len() {
-            self.pos = 0;
-        }
-        let end = (self.pos + CO_CHUNK).min(self.ops.len());
-        self.chunk_start = self.pos;
-        self.hierarchy.access_batch_timed(self.pid, &self.ops[self.pos..end], &mut self.events);
-        self.evt_pos = 0;
-        self.chunk_shared = false;
-        self.pos = end;
-    }
-
-    /// Pre-executes the next trace chunk through the *private* levels
-    /// only (shared-LLC mode), exporting the chunk's shared-level
-    /// request stream.
-    fn refill_shared(&mut self) {
-        if self.pos >= self.ops.len() {
-            self.pos = 0;
-        }
-        let end = (self.pos + CO_CHUNK).min(self.ops.len());
-        self.chunk_start = self.pos;
-        self.hierarchy.access_batch_upper_timed(
-            self.pid,
-            &self.ops[self.pos..end],
-            &mut self.events,
-            &mut self.llc_requests,
-        );
-        self.evt_pos = 0;
-        self.fill_pos = 0;
-        self.wb_pos = 0;
-        self.chunk_shared = true;
-        self.pos = end;
-    }
-
-    /// The next op's `(line, timing)`, pre-executing a chunk when the
-    /// buffer is drained.
-    fn next_event(&mut self) -> (u64, u64, OpTiming) {
-        if self.evt_pos >= self.events.len() {
-            self.refill();
-        }
-        assert!(!self.chunk_shared, "co-runner switched from shared to private mode mid-chunk");
-        let op = self.ops[self.chunk_start + self.evt_pos];
-        let t = self.events[self.evt_pos];
-        self.evt_pos += 1;
-        let seq = self.seq;
-        self.seq += 1;
-        (seq, op.addr.line(self.offset_bits).as_u64(), t)
-    }
-
-    /// Whether this co-runner's trace may be pre-executed in chunks on
-    /// `llc` (memoized — the trace and the LLC's coherent ranges are
-    /// fixed for the co-runner's lifetime).
-    fn prebatchable_on(&mut self, llc: &SharedLlc) -> bool {
-        *self.prebatch.get_or_insert_with(|| prebatchable(&self.ops, llc, self.offset_bits))
-    }
-
-    /// The next op's private-level outcome in *per-op* shared mode
-    /// (coherence-affected co-runners): the scalar upper walk, run at
-    /// merge time so invalidations from other cores are visible.
-    /// Returns the op's sequence number, the op itself, its private
-    /// outcome, and fills `wbs` with the escaped writebacks. The
-    /// caller resolves the shared level and the coherence actions.
-    fn next_op_per_op(&mut self, wbs: &mut Vec<Writeback>) -> (u64, TraceOp, UpperOutcome) {
-        assert!(self.evt_pos >= self.events.len(), "co-runner switched to per-op mode mid-chunk");
-        if self.pos >= self.ops.len() {
-            self.pos = 0;
-        }
-        let op = self.ops[self.pos];
-        wbs.clear();
-        let up = self.hierarchy.access_upper_detailed(self.pid, op.kind, op.addr, 0, wbs);
-        self.pos += 1;
-        let seq = self.seq;
-        self.seq += 1;
-        (seq, op, up)
-    }
-
-    /// The next op's `(seq, line, timing, evicted shared-level line)`
-    /// on a shared-LLC platform: the op's buffered private timing
-    /// composed with its shared-level requests, resolved against `llc`
-    /// *now* — i.e. in merge order. The evicted line lets the caller
-    /// back-invalidate a coherence-tracked shared-level victim.
-    fn next_event_llc(&mut self, llc: &mut SharedLlc) -> (u64, u64, OpTiming, Option<LineAddr>) {
-        if self.evt_pos >= self.events.len() {
-            self.refill_shared();
-        }
-        // A buffered private-mode chunk carries memory penalties in its
-        // timings and no request streams — replaying it here would
-        // silently skip the shared level, so a mode switch is a hard
-        // error (a co-runner lives on one platform for its lifetime).
-        assert!(self.chunk_shared, "co-runner switched from private to shared mode mid-chunk");
-        let i = self.evt_pos;
-        let op = self.ops[self.chunk_start + i];
-        let (fill, wbs) =
-            self.llc_requests.take_for_op(i as u32, &mut self.fill_pos, &mut self.wb_pos);
-        let (r, evicted) = llc.resolve_evict(self.pid, fill, wbs);
-        let t = compose_llc(self.events[i], r, self.hierarchy.depth() as u8);
-        self.evt_pos += 1;
-        let seq = self.seq;
-        self.seq += 1;
-        (seq, op.addr.line(self.offset_bits).as_u64(), t, evicted)
-    }
-}
-
-/// Outcome of one contended segment ([`run_contended_segment`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentOutcome {
-    /// The measured core's accounting (its `cycles` is what the
-    /// machine charges for the segment).
-    pub primary: CoreReport,
-    /// Per-co-runner accounting for the segment.
-    pub co: Vec<CoreReport>,
-    /// Shared-bus accounting for the segment.
-    pub bus: BusReport,
-}
-
-/// Executes one trace segment of the measured core (core 0) against
-/// the persistent co-runners. Bus and MSHR state start fresh per
-/// segment (jobs re-align at release boundaries); co-runner trace
-/// position and cache state carry over. The loop stops when the
-/// primary trace is exhausted: a co-runner only advances while its
-/// clock trails the primary's, so every transaction that could delay
-/// the primary is arbitrated.
-pub fn run_contended_segment(
-    hierarchy: &mut Hierarchy,
-    pid: ProcessId,
-    ops: &[TraceOp],
-    co: &mut [CoRunner],
-    cfg: &SystemConfig,
-    events: &mut Vec<OpTiming>,
-) -> SegmentOutcome {
-    run_contended_segment_with(hierarchy, pid, ops, co, cfg, events, None)
-}
-
-/// [`run_contended_segment`] with an optional trace recorder attached
-/// to the merge. The recorder is observer-only: outcomes are
-/// bit-identical with and without it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_contended_segment_with(
-    hierarchy: &mut Hierarchy,
-    pid: ProcessId,
-    ops: &[TraceOp],
-    co: &mut [CoRunner],
-    cfg: &SystemConfig,
-    events: &mut Vec<OpTiming>,
-    recorder: Option<&RecorderHandle>,
-) -> SegmentOutcome {
-    let mut depths = vec![hierarchy.depth()];
-    depths.extend(co.iter().map(|c| c.hierarchy.depth()));
-    let mut merger = Merger::new(cfg, depths);
-    merger.recorder = recorder.cloned();
-    hierarchy.access_batch_timed(pid, ops, events);
-    let offset_bits = hierarchy.l1i().geometry().offset_bits();
-    let mut pos = 0usize;
-    while pos < ops.len() {
-        // Primary = core 0 wins ties, so a quiet system degenerates to
-        // the solo walk.
-        match merger.next_core(|_| true).expect("at least the primary runs") {
-            0 => {
-                let op = ops[pos];
-                merger.step(0, pos as u64, op.addr.line(offset_bits).as_u64(), events[pos]);
-                pos += 1;
-            }
-            c => {
-                let (seq, line, t) = co[c - 1].next_event();
-                merger.step(c, seq, line, t);
-            }
-        }
-    }
-    let out = merger.finish();
-    let mut cores = out.cores.into_iter();
-    SegmentOutcome {
-        primary: cores.next().expect("core 0 present"),
-        co: cores.collect(),
-        bus: out.bus,
-    }
-}
-
-/// [`invalidate_cores`] for the segment engine's core layout: core 0
-/// is the measured hierarchy, core `j` is co-runner `j-1`.
-fn invalidate_segment_cores(
-    hierarchy: &mut Hierarchy,
-    pid: ProcessId,
-    co: &mut [CoRunner],
-    reports: &mut [CoreReport],
-    targets: u32,
-    line: LineAddr,
-) -> u8 {
-    let mut dirty = 0u32;
-    let mut bits = targets;
-    while bits != 0 {
-        let j = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        if j > co.len() {
-            continue;
-        }
-        let inv = if j == 0 {
-            hierarchy.invalidate_line(pid, line)
-        } else {
-            let runner = &mut co[j - 1];
-            runner.hierarchy.invalidate_line(runner.pid, line)
-        };
-        reports[j].coh_invalidations += inv.copies as u64;
-        dirty += inv.dirty;
-    }
-    dirty.min(u8::MAX as u32) as u8
-}
-
-/// The canonical post-resolution coherence sequence of one segment op
-/// (mirrors steps (3)–(6) of the engine documentation on
-/// [`run_shared_engine`]): inclusive back-invalidation of a tracked
-/// shared-level victim, sharer recording for a tracked fill, upgrade
-/// invalidations for a write, and the flush broadcast. Returns the
-/// coherence bus transactions the op issued; drained dirty copies are
-/// added to `t.mem_writebacks`.
-#[allow(clippy::too_many_arguments)]
-fn segment_coherence_post(
-    llc: &mut SharedLlc,
-    hierarchy: &mut Hierarchy,
-    pid: ProcessId,
-    co: &mut [CoRunner],
-    reports: &mut [CoreReport],
-    pids: &[ProcessId],
-    c: usize,
-    kind: AccessKind,
-    line: LineAddr,
-    fill: Option<LineAddr>,
-    evicted: Option<LineAddr>,
-    t: &mut OpTiming,
-    recorder: Option<&RecorderHandle>,
-    ts: u64,
-) -> u8 {
-    let mut coh_txns = 0u8;
-    if let Some(victim) = evicted.filter(|&v| llc.is_coherent_line(v)) {
-        let sharers = llc.clear_sharers(victim);
-        if sharers != 0 {
-            coh_txns += 1;
-            t.mem_writebacks +=
-                invalidate_segment_cores(hierarchy, pid, co, reports, sharers, victim);
-            if let Some(rec) = recorder {
-                rec.borrow_mut().record(ts, Event::CohBackInvalidate { core: c as u8 });
-            }
-        }
-    }
-    if fill.is_some_and(|l| llc.is_coherent_line(l)) {
-        llc.note_sharer(line, c);
-    }
-    if kind == AccessKind::Write && llc.is_coherent_line(line) {
-        let others = llc.retain_sharer(line, c);
-        if others != 0 {
-            coh_txns += 1;
-            t.mem_writebacks += invalidate_segment_cores(hierarchy, pid, co, reports, others, line);
-            if let Some(rec) = recorder {
-                rec.borrow_mut().record(
-                    ts,
-                    Event::CohUpgrade {
-                        core: c as u8,
-                        invalidated: others.count_ones().min(u8::MAX as u32) as u8,
-                    },
-                );
-            }
-        }
-    }
-    if kind == AccessKind::Flush && llc.is_coherent_line(line) {
-        coh_txns += 1;
-        let sharers = llc.clear_sharers(line) & !(1u32 << c);
-        t.mem_writebacks += invalidate_segment_cores(hierarchy, pid, co, reports, sharers, line);
-        for &p in pids {
-            if llc.invalidate_copy(p, line).dirty {
-                t.mem_writebacks += 1;
-            }
-        }
-        if let Some(rec) = recorder {
-            rec.borrow_mut().record(
-                ts,
-                Event::CohFlush {
-                    core: c as u8,
-                    invalidated: sharers.count_ones().min(u8::MAX as u32) as u8,
-                },
-            );
-        }
-    }
-    coh_txns
-}
-
-/// [`run_contended_segment`] for a shared-LLC platform: the measured
-/// core (core 0) and the persistent co-runners resolve every
-/// shared-level fill and writeback against the one `llc` instance in
-/// merge order, so the enemies *do* perturb the measured core's
-/// shared-level hits — the contention channel per-core way partitions
-/// on `llc` are there to close. When the LLC has coherence armed, the
-/// segment additionally runs the MSI actions in global op order:
-/// coherence-affected participants (traces with flush ops or accesses
-/// to tracked lines) walk their private levels per op at merge time,
-/// everyone else keeps the pre-executed batch path. `events` and
-/// `requests` are per-call scratch for the primary's private
-/// pre-execution (cleared and refilled).
-#[allow(clippy::too_many_arguments)]
-pub fn run_contended_segment_shared(
-    hierarchy: &mut Hierarchy,
-    pid: ProcessId,
-    ops: &[TraceOp],
-    co: &mut [CoRunner],
-    llc: &mut SharedLlc,
-    cfg: &SystemConfig,
-    events: &mut Vec<OpTiming>,
-    requests: &mut LlcRequests,
-) -> SegmentOutcome {
-    run_contended_segment_shared_with(hierarchy, pid, ops, co, llc, cfg, events, requests, None)
-}
-
-/// [`run_contended_segment_shared`] with an optional trace recorder
-/// attached to the merge. The recorder is observer-only: outcomes are
-/// bit-identical with and without it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_contended_segment_shared_with(
-    hierarchy: &mut Hierarchy,
-    pid: ProcessId,
-    ops: &[TraceOp],
-    co: &mut [CoRunner],
-    llc: &mut SharedLlc,
-    cfg: &SystemConfig,
-    events: &mut Vec<OpTiming>,
-    requests: &mut LlcRequests,
-    recorder: Option<&RecorderHandle>,
-) -> SegmentOutcome {
-    let mut depths = vec![hierarchy.depth() + 1];
-    depths.extend(co.iter().map(|c| c.hierarchy.depth() + 1));
-    let co_bits: Vec<u8> = co.iter().map(|c| c.hierarchy.depth() as u8).collect();
-    let co_offsets: Vec<u32> = co.iter().map(|c| c.offset_bits).collect();
-    let mut merger = Merger::new(cfg, depths);
-    merger.recorder = recorder.cloned();
-    let shared_bit = hierarchy.depth() as u8;
-    let offset_bits = hierarchy.l1i().geometry().offset_bits();
-    let coherent = llc.has_coherence();
-    let primary_batched = prebatchable(ops, llc, offset_bits);
-    if primary_batched {
-        hierarchy.access_batch_upper_timed(pid, ops, events, requests);
-    } else {
-        events.clear();
-        requests.clear();
-    }
-    let pids: Vec<ProcessId> = core::iter::once(pid).chain(co.iter().map(|c| c.pid)).collect();
-    let (mut pos, mut fill_pos, mut wb_pos) = (0usize, 0usize, 0usize);
-    let mut wb_scratch: Vec<Writeback> = Vec::new();
-    while pos < ops.len() {
-        // Primary = core 0 wins ties, so a quiet system degenerates to
-        // the solo shared-platform walk.
-        match merger.next_core(|_| true).expect("at least the primary runs") {
-            0 => {
-                let op = ops[pos];
-                let line = op.addr.line(offset_bits);
-                let (mut t, fill, evicted) = if primary_batched {
-                    let (fill, wbs) = requests.take_for_op(pos as u32, &mut fill_pos, &mut wb_pos);
-                    let (r, ev) = llc.resolve_evict(pid, fill, wbs);
-                    (compose_llc(events[pos], r, shared_bit), fill, ev)
-                } else {
-                    wb_scratch.clear();
-                    let up = hierarchy.access_upper_detailed(
-                        pid,
-                        op.kind,
-                        op.addr,
-                        pos as u32,
-                        &mut wb_scratch,
-                    );
-                    let (r, ev) = llc.resolve_evict(pid, up.fill, &wb_scratch);
-                    (compose_llc(upper_timing(&up), r, shared_bit), up.fill, ev)
-                };
-                let coh = if coherent {
-                    let ts = merger.clocks[0];
-                    segment_coherence_post(
-                        llc,
-                        hierarchy,
-                        pid,
-                        co,
-                        &mut merger.reports,
-                        &pids,
-                        0,
-                        op.kind,
-                        line,
-                        fill,
-                        evicted,
-                        &mut t,
-                        recorder,
-                        ts,
-                    )
-                } else {
-                    0
-                };
-                merger.step_coh(0, pos as u64, line.as_u64(), t, coh);
-                pos += 1;
-            }
-            c => {
-                if co[c - 1].prebatchable_on(llc) {
-                    let (seq, line, mut t, evicted) = co[c - 1].next_event_llc(llc);
-                    let coh = if coherent {
-                        // A batched co-runner can still displace a
-                        // tracked line from the shared level; its
-                        // coherence-free trace makes every other
-                        // action a no-op (its fills are never tracked
-                        // and it never writes or flushes tracked
-                        // lines), so the canonical sequence runs with
-                        // a synthetic read and no fill.
-                        let ts = merger.clocks[c];
-                        segment_coherence_post(
-                            llc,
-                            hierarchy,
-                            pid,
-                            co,
-                            &mut merger.reports,
-                            &pids,
-                            c,
-                            AccessKind::Read,
-                            LineAddr::new(line),
-                            None,
-                            evicted,
-                            &mut t,
-                            recorder,
-                            ts,
-                        )
-                    } else {
-                        0
-                    };
-                    merger.step_coh(c, seq, line, t, coh);
-                } else {
-                    let (seq, op, up) = co[c - 1].next_op_per_op(&mut wb_scratch);
-                    let line = op.addr.line(co_offsets[c - 1]);
-                    let (r, ev) = llc.resolve_evict(pids[c], up.fill, &wb_scratch);
-                    let mut t = compose_llc(upper_timing(&up), r, co_bits[c - 1]);
-                    let coh = if coherent {
-                        let ts = merger.clocks[c];
-                        segment_coherence_post(
-                            llc,
-                            hierarchy,
-                            pid,
-                            co,
-                            &mut merger.reports,
-                            &pids,
-                            c,
-                            op.kind,
-                            line,
-                            up.fill,
-                            ev,
-                            &mut t,
-                            recorder,
-                            ts,
-                        )
-                    } else {
-                        0
-                    };
-                    merger.step_coh(c, seq, line.as_u64(), t, coh);
-                }
-            }
-        }
-    }
-    let out = merger.finish();
-    let mut cores = out.cores.into_iter();
-    SegmentOutcome {
-        primary: cores.next().expect("core 0 present"),
-        co: cores.collect(),
-        bus: out.bus,
     }
 }
 
@@ -1201,8 +890,28 @@ mod tests {
         (mk(1), mk(2))
     }
 
+    /// Runs `primary` as the one finite core against `co` — the
+    /// segment a machine's trace replay charges.
+    fn segment(
+        h: &mut Hierarchy,
+        pid: ProcessId,
+        ops: &[TraceOp],
+        co: &mut [CoRunner],
+        llc: Option<&mut SharedLlc>,
+    ) -> InterferenceOutcome {
+        execute(&mut [CoreRun { hierarchy: h, pid, ops }], co, llc, &SystemConfig::default(), None)
+    }
+
+    /// Advances a lone co-runner by one op outside any merge, returning
+    /// the op it walked.
+    fn advance(co: &mut CoRunner, llc: Option<&SharedLlc>, walk: Walk) -> TraceOp {
+        let mut cores = Cores { runs: &mut [], co: core::slice::from_mut(co) };
+        let mut scratch = Vec::new();
+        cores.lane(&mut [], 0).next(llc, walk, &mut scratch).op
+    }
+
     #[test]
-    fn batch_engine_matches_scalar_engine() {
+    fn batch_engine_matches_reference_engine() {
         for arbitration in Arbitration::ALL {
             let cfg = SystemConfig {
                 bus: BusConfig { arbitration, ..BusConfig::default() },
@@ -1215,21 +924,26 @@ mod tests {
                 h.set_write_policy(tscache_core::cache::WritePolicy::WriteBack);
             }
             let pid = ProcessId::new(1);
-            let scalar = execute_scalar(
+            let reference = execute_reference(
                 &mut [
                     CoreRun { hierarchy: &mut a0, pid, ops: &t0 },
                     CoreRun { hierarchy: &mut a1, pid, ops: &t1 },
                 ],
+                &mut [],
+                None,
                 &cfg,
             );
-            let batch = execute_batch(
+            let batch = execute(
                 &mut [
                     CoreRun { hierarchy: &mut b0, pid, ops: &t0 },
                     CoreRun { hierarchy: &mut b1, pid, ops: &t1 },
                 ],
+                &mut [],
+                None,
                 &cfg,
+                None,
             );
-            assert_eq!(scalar, batch, "{arbitration}");
+            assert_eq!(reference, batch, "{arbitration}");
             assert_eq!(a0.total_stats(), b0.total_stats(), "{arbitration}");
             assert_eq!(a1.total_stats(), b1.total_stats(), "{arbitration}");
         }
@@ -1242,16 +956,22 @@ mod tests {
         let pid = ProcessId::new(1);
         let t0 = trace(7, 800);
         let t1 = trace(8, 800);
-        let solo_out = execute_batch(
+        let solo_out = execute(
             &mut [CoreRun { hierarchy: &mut solo, pid, ops: &t0 }],
+            &mut [],
+            None,
             &SystemConfig::default(),
+            None,
         );
-        let contended = execute_batch(
+        let contended = execute(
             &mut [
                 CoreRun { hierarchy: &mut c0, pid, ops: &t0 },
                 CoreRun { hierarchy: &mut c1, pid, ops: &t1 },
             ],
+            &mut [],
+            None,
             &SystemConfig::default(),
+            None,
         );
         assert_eq!(solo_out.cores[0].base_cycles, contended.cores[0].base_cycles);
         assert!(contended.cores[0].cycles >= solo_out.cores[0].cycles);
@@ -1265,24 +985,16 @@ mod tests {
         let run = || {
             let (mut h, enemy) = pair();
             let mut co = vec![CoRunner::new(enemy, ProcessId::new(9), trace(11, 300))];
-            let mut events = Vec::new();
-            let t = trace(12, 500);
-            run_contended_segment(
-                &mut h,
-                ProcessId::new(1),
-                &t,
-                &mut co,
-                &SystemConfig::default(),
-                &mut events,
-            )
+            segment(&mut h, ProcessId::new(1), &trace(12, 500), &mut co, None)
         };
         let a = run();
         let b = run();
         assert_eq!(a, b);
-        assert!(a.primary.cycles >= a.primary.base_cycles);
+        let primary = a.cores[0];
+        assert!(primary.cycles >= primary.base_cycles);
         assert_eq!(
-            a.primary.cycles,
-            a.primary.base_cycles + a.primary.bus_wait + a.primary.mshr_stall_cycles
+            primary.cycles,
+            primary.base_cycles + primary.bus_wait + primary.mshr_stall_cycles
         );
     }
 
@@ -1295,7 +1007,7 @@ mod tests {
         // and stall/coalesce counts), and so is the bus's transaction
         // total. An engine bug that let the interleaving leak into
         // cache or MSHR outcomes would trip this (the CI determinism
-        // probe pins the same property for the segment API's measured
+        // probe pins the same property for a segment's measured
         // core).
         let traces: Vec<Vec<TraceOp>> =
             (0..3u64).map(|c| trace(60 + c, 400 + 50 * c as usize)).collect();
@@ -1321,7 +1033,7 @@ mod tests {
                 .zip(perm.iter())
                 .map(|(h, &c)| CoreRun { hierarchy: h, pid: ProcessId::new(1), ops: &traces[c] })
                 .collect();
-            let out = execute_batch(&mut cores, &SystemConfig::default());
+            let out = execute(&mut cores, &mut [], None, &SystemConfig::default(), None);
             // Report per original core id, independent of position.
             let mut by_core = [CoreReport::default(); 3];
             for (pos, &c) in perm.iter().enumerate() {
@@ -1382,14 +1094,14 @@ mod tests {
     }
 
     #[test]
-    fn shared_batch_engine_matches_shared_scalar_engine() {
+    fn shared_batch_engine_matches_shared_reference_engine() {
         for arbitration in Arbitration::ALL {
             let cfg = SystemConfig {
                 bus: BusConfig { arbitration, ..BusConfig::default() },
                 ..SystemConfig::default()
             };
             let traces = [trace(51, 700), trace(52, 600)];
-            let run = |scalar: bool| {
+            let run = |reference: bool| {
                 let (mut hs, pids, mut llc) = shared_platform(2, 5);
                 for h in &mut hs {
                     h.set_write_policy(tscache_core::cache::WritePolicy::WriteBack);
@@ -1401,10 +1113,10 @@ mod tests {
                     .zip(&traces)
                     .map(|((h, &pid), t)| CoreRun { hierarchy: h, pid, ops: t })
                     .collect();
-                let out = if scalar {
-                    execute_scalar_shared(&mut cores, &mut llc, &cfg)
+                let out = if reference {
+                    execute_reference(&mut cores, &mut [], Some(&mut llc), &cfg)
                 } else {
-                    execute_batch_shared(&mut cores, &mut llc, &cfg)
+                    execute(&mut cores, &mut [], Some(&mut llc), &cfg, None)
                 };
                 let stats: Vec<_> = hs.iter().map(|h| h.total_stats()).collect();
                 let contents: Vec<_> = llc.cache().contents().collect();
@@ -1422,11 +1134,7 @@ mod tests {
         let ops: Vec<TraceOp> =
             (0..2000u64).map(|i| TraceOp::read(Addr::new((i % 32) * 4096))).collect();
         let (mut hs, pids, mut llc) = shared_platform(1, 9);
-        let out = execute_batch_shared(
-            &mut [CoreRun { hierarchy: &mut hs[0], pid: pids[0], ops: &ops }],
-            &mut llc,
-            &SystemConfig::default(),
-        );
+        let out = segment(&mut hs[0], pids[0], &ops, &mut [], Some(&mut llc));
         let llc_stats = llc.cache().stats();
         assert!(llc_stats.hits() > 0, "no steady-state LLC hits");
         assert_eq!(out.cores[0].mem_reads, llc_stats.misses(), "bus reads ≠ LLC misses");
@@ -1468,7 +1176,7 @@ mod tests {
                     ops: &enemy_ops,
                 });
             }
-            let out = execute_batch_shared(&mut cores, &mut llc, &SystemConfig::default());
+            let out = execute(&mut cores, &mut [], Some(&mut llc), &SystemConfig::default(), None);
             (out.cores[0], llc.cache().stats().cross_process_evictions())
         };
         let (solo, _) = run(false, false);
@@ -1498,82 +1206,69 @@ mod tests {
             let mut h = hs.next().unwrap();
             let enemy = hs.next().unwrap();
             let mut co = vec![CoRunner::new(enemy, pids[1], trace(31, 300))];
-            let mut events = Vec::new();
-            let mut requests = LlcRequests::default();
-            let t = trace(32, 500);
-            let seg = run_contended_segment_shared(
-                &mut h,
-                pids[0],
-                &t,
-                &mut co,
-                &mut llc,
-                &SystemConfig::default(),
-                &mut events,
-                &mut requests,
-            );
+            let seg = segment(&mut h, pids[0], &trace(32, 500), &mut co, Some(&mut llc));
             (seg, *llc.cache().stats())
         };
         let (a, llc_a) = run();
         let (b, llc_b) = run();
         assert_eq!(a, b);
         assert_eq!(llc_a, llc_b);
-        assert!(a.co[0].ops > 0, "enemy never ran");
+        assert!(a.cores[1].ops > 0, "enemy never ran");
+        let primary = a.cores[0];
         assert_eq!(
-            a.primary.cycles,
-            a.primary.base_cycles + a.primary.bus_wait + a.primary.mshr_stall_cycles
+            primary.cycles,
+            primary.base_cycles + primary.bus_wait + primary.mshr_stall_cycles
         );
     }
 
     #[test]
     fn co_runner_flush_keeps_per_op_position_and_rewinds_lookahead() {
         let ops: Vec<TraceOp> = (0..10u64).map(|i| TraceOp::read(Addr::new(i * 4096))).collect();
-        // Per-op mode: the cursor IS the next op — a flush must not
-        // move it (chunk_start/evt_pos stay 0 in this mode, so the
-        // naive rewind would restart the trace from op 0).
-        let (mut hs, pids, _) = shared_platform(1, 3);
-        let mut co = CoRunner::new(hs.remove(0), pids[0], ops.clone());
-        let mut wbs = Vec::new();
+        // Per-op walk (a flush in the trace rules out pre-walking): the
+        // cursor is the next op, so a flush must not move it.
+        let mut per_op_ops = ops.clone();
+        per_op_ops.push(TraceOp::flush(Addr::new(0)));
+        let (mut hs, pids, llc) = shared_platform(1, 3);
+        let mut co = CoRunner::new(hs.remove(0), pids[0], per_op_ops.clone());
         for _ in 0..5 {
-            co.next_op_per_op(&mut wbs);
+            advance(&mut co, Some(&llc), Walk::Batched);
         }
+        assert!(co.cursor.events.is_empty(), "a flushing trace was pre-walked");
         co.flush();
-        let (_, op, _) = co.next_op_per_op(&mut wbs);
-        assert_eq!(op, ops[5], "flush rewound a per-op co-runner's trace position");
-        // Chunked mode: unconsumed lookahead is discarded, resuming at
-        // the first unmerged op (which re-executes on the cold cache).
-        let (mut hs, pids, mut llc) = shared_platform(1, 4);
+        let op = advance(&mut co, Some(&llc), Walk::Batched);
+        assert_eq!(op, per_op_ops[5], "flush rewound a per-op co-runner's trace position");
+        // Pre-walked chunk: the unmerged lookahead is discarded,
+        // resuming at the first unmerged op (which re-executes on the
+        // cold cache).
+        let (mut hs, pids, llc) = shared_platform(1, 4);
         let mut co = CoRunner::new(hs.remove(0), pids[0], ops.clone());
         for _ in 0..3 {
-            co.next_event_llc(&mut llc);
+            advance(&mut co, Some(&llc), Walk::Batched);
         }
+        assert_eq!(co.cursor.events.len(), ops.len(), "coherence-free trace not pre-walked");
         co.flush();
-        let offset_bits = co.offset_bits;
-        let (_, line, _, _) = co.next_event_llc(&mut llc);
-        assert_eq!(
-            line,
-            ops[3].addr.line(offset_bits).as_u64(),
-            "flush did not resume at the first unconsumed op"
-        );
+        assert!(co.cursor.events.is_empty(), "flush kept the pre-walked lookahead");
+        let op = advance(&mut co, Some(&llc), Walk::Batched);
+        assert_eq!(op, ops[3], "flush did not resume at the first unconsumed op");
     }
 
     #[test]
     fn reclassify_reacts_to_late_coherent_ranges() {
-        use tscache_core::addr::Addr;
         let ops: Vec<TraceOp> = (0..12u64).map(|i| TraceOp::read(Addr::new(i * 4096))).collect();
         let (mut hs, pids, mut llc) = shared_platform(1, 5);
         let mut co = CoRunner::new(hs.remove(0), pids[0], ops.clone());
-        assert!(co.prebatchable_on(&llc), "coherence-free trace must be batchable");
         for _ in 0..4 {
-            co.next_event_llc(&mut llc);
+            advance(&mut co, Some(&llc), Walk::Batched);
         }
+        assert_eq!(co.cursor.prebatch, Some(true), "coherence-free trace must be batchable");
         // The platform declares a coherent range covering the trace
         // *after* the co-runner already ran: the memoized verdict and
-        // the buffered lookahead are both stale.
+        // the pre-walked lookahead are both stale.
         llc.add_coherent_range(Addr::new(0), 12 * 4096);
         co.reclassify();
-        assert!(!co.prebatchable_on(&llc), "stale pre-batchability verdict survived");
-        let mut wbs = Vec::new();
-        let (_, op, _) = co.next_op_per_op(&mut wbs);
+        let op = advance(&mut co, Some(&llc), Walk::Batched);
+        assert_eq!(co.cursor.prebatch, Some(false), "stale pre-batchability verdict survived");
+        assert!(co.cursor.events.is_empty(), "coherence-affected trace was pre-walked");
         assert_eq!(op, ops[4], "reclassify lost the first unconsumed op");
     }
 
@@ -1587,12 +1282,15 @@ mod tests {
         let (mut c0, mut c1) = pair();
         let pid = ProcessId::new(1);
         let (t0, t1) = (trace(31, 600), trace(32, 600));
-        let out = execute_batch(
+        let out = execute(
             &mut [
                 CoreRun { hierarchy: &mut c0, pid, ops: &t0 },
                 CoreRun { hierarchy: &mut c1, pid, ops: &t1 },
             ],
+            &mut [],
+            None,
             &cfg,
+            None,
         );
         // Every transaction waits at most one full TDMA round.
         let round = (slot_cycles as u64) * 2;
@@ -1608,12 +1306,15 @@ mod tests {
         let (mut c0, mut c1) = pair();
         let pid = ProcessId::new(1);
         let (t0, t1) = (trace(41, 400), trace(42, 400));
-        let out = execute_batch(
+        let out = execute(
             &mut [
                 CoreRun { hierarchy: &mut c0, pid, ops: &t0 },
                 CoreRun { hierarchy: &mut c1, pid, ops: &t1 },
             ],
+            &mut [],
+            None,
             &cfg,
+            None,
         );
         for core in &out.cores {
             assert_eq!(core.mshr_stall_cycles, 0);
@@ -1635,19 +1336,10 @@ mod tests {
         enemy.access_batch(ProcessId::new(9), &enemy_ops); // warm L2
         let mut co = vec![CoRunner::new(enemy, ProcessId::new(9), enemy_ops)];
         let mut h = SetupKind::Deterministic.build(1);
-        let t = trace(5, 2000);
-        let mut events = Vec::new();
-        let seg = run_contended_segment(
-            &mut h,
-            ProcessId::new(1),
-            &t,
-            &mut co,
-            &SystemConfig::default(),
-            &mut events,
-        );
-        assert!(seg.co[0].ops > 32, "enemy barely ran; test needs several trace cycles");
+        let seg = segment(&mut h, ProcessId::new(1), &trace(5, 2000), &mut co, None);
+        assert!(seg.cores[1].ops > 32, "enemy barely ran; test needs several trace cycles");
         assert_eq!(
-            seg.co[0].mshr_coalesced, 0,
+            seg.cores[1].mshr_coalesced, 0,
             "revisit distance exceeds the MSHR window — nothing may coalesce"
         );
     }
@@ -1662,7 +1354,8 @@ mod tests {
         // A pure miss streak: distinct lines, no reuse.
         let t: Vec<TraceOp> = (0..400u64).map(|i| TraceOp::read(Addr::new(i * 4096))).collect();
         let pid = ProcessId::new(1);
-        let out = execute_batch(&mut [CoreRun { hierarchy: &mut h, pid, ops: &t }], &cfg);
+        let out =
+            execute(&mut [CoreRun { hierarchy: &mut h, pid, ops: &t }], &mut [], None, &cfg, None);
         assert!(out.cores[0].mshr_stall_cycles > 0, "1-entry MSHR never stalled a miss streak");
     }
 }

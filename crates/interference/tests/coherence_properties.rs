@@ -20,7 +20,7 @@ use tscache_core::hierarchy::{Hierarchy, SharedLlc, TraceOp};
 use tscache_core::placement::PlacementKind;
 use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed};
-use tscache_interference::{execute_batch_shared, execute_scalar_shared, CoreRun, SystemConfig};
+use tscache_interference::{execute, execute_reference, CoreRun, SystemConfig};
 
 /// The enemy's coherent segment: 16 lines at 16 MiB, far from any
 /// victim data.
@@ -107,7 +107,7 @@ proptest! {
             if enemy_salt.is_some() {
                 cores.push(CoreRun { hierarchy: &mut eh, pid: enemy, ops: &enemy_ops });
             }
-            let out = execute_batch_shared(&mut cores, &mut llc, &SystemConfig::default());
+            let out = execute(&mut cores, &mut [], Some(&mut llc), &SystemConfig::default(), None);
             let v = out.cores[0];
             (
                 (v.ops, v.base_cycles, v.mem_reads, v.mem_writebacks, v.coh_invalidations),
@@ -198,9 +198,9 @@ proptest! {
         {
             let mut cores = vec![CoreRun { hierarchy: &mut h, pid, ops: &ops }];
             if scalar {
-                execute_scalar_shared(&mut cores, &mut llc, &SystemConfig::default());
+                execute_reference(&mut cores, &mut [], Some(&mut llc), &SystemConfig::default());
             } else {
-                execute_batch_shared(&mut cores, &mut llc, &SystemConfig::default());
+                execute(&mut cores, &mut [], Some(&mut llc), &SystemConfig::default(), None);
             }
         }
         let first = COHERENT_BASE >> 5;

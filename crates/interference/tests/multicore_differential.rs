@@ -1,9 +1,9 @@
-//! The multi-core differential suite (the PR's acceptance criterion):
-//! contention-aware batch execution must be bit-identical to the
-//! scalar multi-core interleaving — per-core cycles, bus waits, MSHR
-//! accounting, per-level statistics (including writeback counters) and
-//! final cache contents — across every placement × replacement ×
-//! depth × arbitration combination, with write-back caches on.
+//! The multi-core differential suite: the merge loop's batched walks
+//! must be bit-identical to its per-op reference walk — per-core
+//! cycles, bus waits, MSHR accounting, per-level statistics (including
+//! writeback counters) and final cache contents — across every
+//! placement × replacement × depth × arbitration combination, with
+//! write-back caches on.
 
 use tscache_core::cache::{Cache, WritePolicy};
 use tscache_core::geometry::CacheGeometry;
@@ -12,9 +12,9 @@ use tscache_core::placement::PlacementKind;
 use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
+use tscache_core::stats::CacheStats;
 use tscache_interference::{
-    execute_batch, execute_batch_shared, execute_scalar, execute_scalar_shared, Arbitration,
-    BusConfig, CoreRun, MshrConfig, SystemConfig,
+    execute, execute_reference, Arbitration, BusConfig, CoreRun, MshrConfig, SystemConfig,
 };
 
 /// Deterministic mixed trace whose footprint overflows the small
@@ -52,6 +52,18 @@ fn small_hierarchy(
 
 fn contents_of(c: &Cache) -> Vec<(u32, u32, u64, u16)> {
     c.contents().map(|(s, w, l, o)| (s, w, l.as_u64(), o.as_u16())).collect()
+}
+
+/// Stats, contents and dirty-line count of one cache.
+type CacheState = (CacheStats, Vec<(u32, u32, u64, u16)>, usize);
+
+fn cache_state(c: &Cache) -> CacheState {
+    (*c.stats(), contents_of(c), c.dirty_lines())
+}
+
+/// [`cache_state`] of every level of `h`, L1I first.
+fn hierarchy_state(h: &Hierarchy) -> Vec<CacheState> {
+    [h.l1i(), h.l1d()].into_iter().chain(h.unified_levels()).map(cache_state).collect()
 }
 
 fn assert_hierarchies_identical(a: &Hierarchy, b: &Hierarchy, label: &str) {
@@ -93,7 +105,7 @@ fn contended_batch_is_bit_identical_to_scalar_interleaving() {
                             .zip(&traces)
                             .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
                             .collect();
-                        execute_scalar(&mut cores, &cfg)
+                        execute_reference(&mut cores, &mut [], None, &cfg)
                     };
                     let batch = {
                         let mut cores: Vec<CoreRun<'_>> = batch_h
@@ -101,7 +113,7 @@ fn contended_batch_is_bit_identical_to_scalar_interleaving() {
                             .zip(&traces)
                             .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
                             .collect();
-                        execute_batch(&mut cores, &cfg)
+                        execute(&mut cores, &mut [], None, &cfg, None)
                     };
                     assert_eq!(scalar, batch, "{label}: engine outcomes diverge");
                     for (i, (a, b)) in scalar_h.iter().zip(&batch_h).enumerate() {
@@ -141,7 +153,7 @@ fn paper_presets_match_across_engines_with_active_writebacks() {
                     .zip(&traces)
                     .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
                     .collect();
-                execute_scalar(&mut cores, &cfg)
+                execute_reference(&mut cores, &mut [], None, &cfg)
             };
             let batch = {
                 let mut cores: Vec<CoreRun<'_>> = batch_h
@@ -149,7 +161,7 @@ fn paper_presets_match_across_engines_with_active_writebacks() {
                     .zip(&traces)
                     .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
                     .collect();
-                execute_batch(&mut cores, &cfg)
+                execute(&mut cores, &mut [], None, &cfg, None)
             };
             assert_eq!(scalar, batch, "{label}");
             for (i, (a, b)) in scalar_h.iter().zip(&batch_h).enumerate() {
@@ -262,9 +274,9 @@ fn shared_llc_batch_is_bit_identical_to_scalar_interleaving() {
                                     })
                                     .collect();
                                 if scalar {
-                                    execute_scalar_shared(&mut cores, &mut llc, &cfg)
+                                    execute_reference(&mut cores, &mut [], Some(&mut llc), &cfg)
                                 } else {
-                                    execute_batch_shared(&mut cores, &mut llc, &cfg)
+                                    execute(&mut cores, &mut [], Some(&mut llc), &cfg, None)
                                 }
                             };
                             (out, cores_h.into_iter().map(|(h, _)| h).collect::<Vec<_>>(), llc)
@@ -336,9 +348,9 @@ fn shared_llc_paper_presets_match_across_engines() {
                         })
                         .collect();
                     if scalar {
-                        execute_scalar_shared(&mut cores, &mut llc, &cfg)
+                        execute_reference(&mut cores, &mut [], Some(&mut llc), &cfg)
                     } else {
-                        execute_batch_shared(&mut cores, &mut llc, &cfg)
+                        execute(&mut cores, &mut [], Some(&mut llc), &cfg, None)
                     }
                 };
                 (out, hs, llc)
@@ -430,9 +442,9 @@ fn coherence_axis_batch_is_bit_identical_to_scalar_interleaving() {
                                 .map(|((h, pid), t)| CoreRun { hierarchy: h, pid: *pid, ops: t })
                                 .collect();
                             if scalar {
-                                execute_scalar_shared(&mut cores, &mut llc, &cfg)
+                                execute_reference(&mut cores, &mut [], Some(&mut llc), &cfg)
                             } else {
-                                execute_batch_shared(&mut cores, &mut llc, &cfg)
+                                execute(&mut cores, &mut [], Some(&mut llc), &cfg, None)
                             }
                         };
                         (out, cores_h.into_iter().map(|(h, _)| h).collect::<Vec<_>>(), llc)
@@ -498,7 +510,7 @@ fn arbitration_policies_differ_and_order_sensibly() {
             .zip(&traces)
             .map(|(h, t)| CoreRun { hierarchy: h, pid, ops: t })
             .collect();
-        let out = execute_batch(&mut cores, &cfg);
+        let out = execute(&mut cores, &mut [], None, &cfg, None);
         let wait: u64 = out.cores.iter().map(|c| c.bus_wait).sum();
         assert!(wait > 0, "{arbitration}: two miss-heavy cores never collided");
         waits.push((arbitration, wait));
@@ -506,4 +518,141 @@ fn arbitration_policies_differ_and_order_sensibly() {
     let tdma = waits.iter().find(|(a, _)| matches!(a, Arbitration::Tdma { .. })).unwrap().1;
     let rr = waits.iter().find(|(a, _)| matches!(a, Arbitration::RoundRobin)).unwrap().1;
     assert!(tdma > rr, "TDMA should pay more queuing than round-robin (tdma {tdma}, rr {rr})");
+}
+
+#[test]
+fn segments_with_persistent_co_runners_match_the_reference_walk() {
+    // The path machine trace replay takes: one measured core run in
+    // segments against two persistent cyclic co-runners. Segment
+    // lengths are no multiple of the co-runners' 128-op chunk, so
+    // batched co-runners end segments mid-chunk with pre-walked
+    // lookahead; between segments one co-runner is flushed, then a
+    // late coherent range makes every co-runner reclassify. Batched
+    // and per-op walks must agree bit for bit on every report, every
+    // private level and the shared cache, after every segment.
+    use tscache_core::addr::Addr;
+    use tscache_interference::CoRunner;
+    const SHARED_BASE: u64 = 1 << 20;
+    const LATE_BASE: u64 = 1 << 21;
+    for shared in [false, true] {
+        for depth in HierarchyDepth::ALL {
+            for placement in PlacementKind::ALL {
+                for replacement in ReplacementKind::ALL {
+                    let label =
+                        format!("segment/{placement}/{replacement}/{depth}/shared={shared}");
+                    let salt = (placement as usize * 64 + replacement as usize * 8 + depth as usize)
+                        as u64
+                        + 0x5e9;
+                    let cfg = SystemConfig {
+                        bus: BusConfig::default(),
+                        mshr: Some(MshrConfig { entries: 2, window_ops: 6, stall_cycles: 5 }),
+                    };
+                    let primary_ops = coherent_trace(salt ^ 0x1, 700, SHARED_BASE);
+                    // Co-runner 1 shares (writes, flushes) the coherent
+                    // segment; co-runner 2 streams private data that
+                    // the late range later covers.
+                    let co_ops = [
+                        coherent_trace(salt ^ 0x2, 300, SHARED_BASE),
+                        recorded_trace(salt ^ 0x3, 500)
+                            .into_iter()
+                            .map(|op| TraceOp {
+                                kind: op.kind,
+                                addr: Addr::new(op.addr.as_u64() % 4096 + LATE_BASE),
+                            })
+                            .collect::<Vec<_>>(),
+                    ];
+                    let build = |c: u64| {
+                        let policy = WritePolicy::WriteBack;
+                        if shared {
+                            small_private(placement, replacement, depth, policy, c)
+                        } else {
+                            (small_hierarchy(placement, replacement, depth, c), ProcessId::new(1))
+                        }
+                    };
+                    let run = |reference: bool| {
+                        let (mut h, pid) = build(0);
+                        let mut co: Vec<CoRunner> = (1..3u64)
+                            .map(|c| {
+                                let (h, pid) = build(c);
+                                CoRunner::new(h, pid, co_ops[c as usize - 1].clone())
+                            })
+                            .collect();
+                        let pids: Vec<ProcessId> =
+                            std::iter::once(pid).chain(co.iter().map(|c| c.pid())).collect();
+                        let mut llc = shared.then(|| {
+                            let mut llc = small_shared_llc(
+                                placement,
+                                replacement,
+                                WritePolicy::WriteBack,
+                                &pids,
+                            );
+                            llc.add_coherent_range(Addr::new(SHARED_BASE), 512);
+                            llc
+                        });
+                        h.add_coherent_range(Addr::new(SHARED_BASE), 512);
+                        for c in &mut co {
+                            c.hierarchy_mut().add_coherent_range(Addr::new(SHARED_BASE), 512);
+                        }
+                        let mut snapshots = Vec::new();
+                        let mut start = 0;
+                        for (k, len) in [150usize, 77, 301, 172].into_iter().enumerate() {
+                            match k {
+                                1 => co[1].flush(),
+                                2 => {
+                                    if let Some(llc) = llc.as_mut() {
+                                        llc.add_coherent_range(Addr::new(LATE_BASE), 4096);
+                                    }
+                                    h.add_coherent_range(Addr::new(LATE_BASE), 4096);
+                                    for c in &mut co {
+                                        c.hierarchy_mut()
+                                            .add_coherent_range(Addr::new(LATE_BASE), 4096);
+                                        c.reclassify();
+                                    }
+                                }
+                                _ => {}
+                            }
+                            let ops = &primary_ops[start..start + len];
+                            start += len;
+                            let mut runs = [CoreRun { hierarchy: &mut h, pid, ops }];
+                            let out = if reference {
+                                execute_reference(&mut runs, &mut co, llc.as_mut(), &cfg)
+                            } else {
+                                execute(&mut runs, &mut co, llc.as_mut(), &cfg, None)
+                            };
+                            let llc_state = llc.as_ref().map(|l| cache_state(l.cache()));
+                            let private: Vec<_> = std::iter::once(&h)
+                                .chain(co.iter().map(|c| c.hierarchy()))
+                                .map(hierarchy_state)
+                                .collect();
+                            snapshots.push((out, private, llc_state));
+                        }
+                        snapshots
+                    };
+                    let (batched, reference) = (run(false), run(true));
+                    for (k, (b, r)) in batched.iter().zip(&reference).enumerate() {
+                        assert_eq!(b.0, r.0, "{label}/segment{k}: reports diverge");
+                        assert_eq!(b.1, r.1, "{label}/segment{k}: private levels diverge");
+                        assert_eq!(b.2, r.2, "{label}/segment{k}: shared LLC diverges");
+                    }
+                    // The first segment must leave the flushed co-runner
+                    // mid-chunk, and every segment must run both enemies.
+                    assert_ne!(batched[0].0.cores[2].ops % 128, 0, "{label}: chunk-aligned flush");
+                    for (k, (out, _, _)) in batched.iter().enumerate() {
+                        assert!(
+                            out.cores[1].ops > 0 && out.cores[2].ops > 0,
+                            "{label}/segment{k}: a co-runner never ran"
+                        );
+                    }
+                    if shared {
+                        let drained: u64 = batched
+                            .iter()
+                            .flat_map(|(out, _, _)| &out.cores)
+                            .map(|c| c.coh_invalidations)
+                            .sum();
+                        assert!(drained > 0, "{label}: no invalidation ever landed");
+                    }
+                }
+            }
+        }
+    }
 }

@@ -8,16 +8,15 @@
 //! variability flows through the cache hierarchy.
 
 use crate::pipeline::PipelineModel;
-use tscache_core::addr::{Addr, LineAddr};
+use tscache_core::addr::Addr;
 use tscache_core::cache::{WritePolicy, Writeback};
 use tscache_core::defense::DefenseKind;
-use tscache_core::hierarchy::{AccessKind, Hierarchy, LlcRequests, OpTiming, SharedLlc};
+use tscache_core::hierarchy::{AccessKind, Hierarchy, OpTiming, SharedLlc};
 use tscache_core::prng::mix64;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
 use tscache_interference::{
-    run_contended_segment_shared_with, run_contended_segment_with, CoRunner, ContentionConfig,
-    SystemConfig,
+    coherence, execute, CoRunner, CoherentOp, ContentionConfig, CoreRun, Cores, SystemConfig,
 };
 use tscache_telemetry::{Event, RecorderHandle};
 
@@ -70,7 +69,7 @@ pub struct Machine {
     /// Lifetime cycles lost to bus queuing + MSHR stalls (survives
     /// `reset_counters`; see [`contention_cycles`](Self::contention_cycles)).
     contention_cycles: u64,
-    /// Reused per-segment timing scratch of the contended batch path.
+    /// Reused per-op timing scratch of the recorded solo batch path.
     timing_scratch: Vec<OpTiming>,
     /// The platform's shared last-level cache, when this machine runs
     /// on a shared-LLC multicore (the per-core `hierarchy` then holds
@@ -79,8 +78,6 @@ pub struct Machine {
     /// Declared coherent regions `(start, size)`, kept so co-runner
     /// cores attached later inherit them.
     coherent_regions: Vec<(Addr, u64)>,
-    /// Reused per-segment scratch of the shared-LLC batch path.
-    llc_scratch: LlcRequests,
     /// Reused writeback scratch of the shared-LLC scalar ops.
     wb_scratch: Vec<Writeback>,
     /// Optional telemetry recorder; observer-only — outcomes are
@@ -105,7 +102,6 @@ impl Machine {
             timing_scratch: Vec::new(),
             shared_llc: None,
             coherent_regions: Vec::new(),
-            llc_scratch: LlcRequests::default(),
             wb_scratch: Vec::new(),
             recorder: None,
         }
@@ -115,8 +111,8 @@ impl Machine {
     /// then emits per-level hit/miss walks, writebacks, bus grants,
     /// MSHR events and per-op spans into it. The recorder is strictly
     /// an observer — cache state, cycle totals and statistics are
-    /// bit-identical with and without one attached (the contended and
-    /// shared engines thread it through as a side channel; the solo
+    /// bit-identical with and without one attached (the multicore
+    /// merge loop threads it through as a side channel; the solo
     /// batch path switches to its timed twin, which the differential
     /// suites pin to the untimed walk).
     pub fn set_recorder(&mut self, recorder: RecorderHandle) {
@@ -442,114 +438,26 @@ impl Machine {
 
     /// One scalar access through the full platform: the private
     /// hierarchy, then — on a shared-LLC machine — the shared level
-    /// (writebacks delivered first, fill resolved in place). Like the
-    /// other scalar convenience ops this models solo background
-    /// activity and never arbitrates for the bus.
+    /// (writebacks delivered first, fill resolved in place) and the
+    /// coherence actions, with this machine as core 0 of its platform
+    /// and the co-runners as cores 1.. . Like the other scalar
+    /// convenience ops this models solo background activity and never
+    /// arbitrates for the bus, so the coherence bus cost is dropped.
     #[inline]
     fn hier_access(&mut self, kind: AccessKind, addr: Addr) -> u32 {
-        if kind == AccessKind::Flush {
-            return self.flush_op(addr);
-        }
         let Some(llc) = self.shared_llc.as_mut() else {
             return self.hierarchy.access(self.pid, kind, addr);
         };
         self.wb_scratch.clear();
         let up =
             self.hierarchy.access_upper_detailed(self.pid, kind, addr, 0, &mut self.wb_scratch);
-        let (r, evicted) = llc.resolve_evict(self.pid, up.fill, &self.wb_scratch);
-        let cycles = up.cycles + r.cycles;
-        if up.fill.is_some_and(|l| llc.is_coherent_line(l)) {
-            // This machine is core 0 of its platform: a tracked fill
-            // records it in the directory, exactly as trace replay
-            // through the segment engine would.
-            llc.note_sharer(up.fill.expect("checked above"), 0);
-        }
-        if let Some(victim) = evicted {
-            // Inclusive back-invalidation, exactly as the engines
-            // apply it: a tracked line leaving the shared level takes
-            // every private copy with it.
-            self.scalar_back_invalidate(victim);
-        }
-        if kind == AccessKind::Write {
-            self.coherence_upgrade(addr);
-        }
-        cycles
-    }
-
-    /// The scalar form of the engines' inclusive back-invalidation:
-    /// `victim` was displaced from the shared level, so — when it is
-    /// coherence-tracked — every directory-listed private copy is
-    /// drained (core 0 = this machine's hierarchy under the current
-    /// process, core `j` = co-runner `j-1` under its own pid).
-    fn scalar_back_invalidate(&mut self, victim: LineAddr) {
-        let Some(llc) = self.shared_llc.as_mut() else { return };
-        if !llc.is_coherent_line(victim) {
-            return;
-        }
-        let mut bits = llc.clear_sharers(victim);
-        while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if j == 0 {
-                self.hierarchy.invalidate_line(self.pid, victim);
-            } else if j - 1 < self.co_runners.len() {
-                self.co_runners[j - 1].invalidate_line(victim);
-            }
-        }
-    }
-
-    /// The scalar upgrade: a write to a coherence-tracked line drains
-    /// every other holder's private copies and leaves this machine
-    /// (core 0) as the sole directory entry. Mirrors the segment
-    /// engine's upgrade step, minus the bus transaction (scalar
-    /// convenience ops never arbitrate).
-    fn coherence_upgrade(&mut self, addr: Addr) {
+        let (r, victim) = llc.resolve_evict(self.pid, up.fill, &self.wb_scratch);
         let line = addr.line(self.hierarchy.l1i().geometry().offset_bits());
-        let Some(llc) = self.shared_llc.as_mut() else { return };
-        if !llc.is_coherent_line(line) {
-            return;
-        }
-        let others = llc.retain_sharer(line, 0);
-        let mut bits = others;
-        while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if j >= 1 && j - 1 < self.co_runners.len() {
-                self.co_runners[j - 1].invalidate_line(line);
-            }
-        }
-    }
-
-    /// The scalar line-flush op (`TraceOp::flush` issued outside trace
-    /// replay): drains the current process's copies from the private
-    /// hierarchy, and — when the line is coherence-tracked on the
-    /// shared level — every coherent copy platform-wide: the co-runner
-    /// cores' private copies (via the directory), the shared-level
-    /// copies under every core's placement view, and the directory
-    /// entry itself. Untracked lines never reach the shared level:
-    /// outside the coherence protocol a flush is core-local, exactly
-    /// like trace replay through the engines. Returns the flush's
-    /// issue cost (one L1 slot).
-    fn flush_op(&mut self, addr: Addr) -> u32 {
-        let line = addr.line(self.hierarchy.l1i().geometry().offset_bits());
-        self.hierarchy.invalidate_line(self.pid, line);
-        if let Some(llc) = self.shared_llc.as_mut() {
-            if llc.is_coherent_line(line) {
-                let mut bits = llc.clear_sharers(line) & !1u32;
-                while bits != 0 {
-                    let j = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if j - 1 < self.co_runners.len() {
-                        self.co_runners[j - 1].invalidate_line(line);
-                    }
-                }
-                llc.invalidate_copy(self.pid, line);
-                for co in &mut self.co_runners {
-                    llc.invalidate_copy(co.pid(), line);
-                }
-            }
-        }
-        self.hierarchy.l1_hit_cycles()
+        let mut runs = [CoreRun { hierarchy: &mut self.hierarchy, pid: self.pid, ops: &[] }];
+        let mut cores = Cores { runs: &mut runs, co: &mut self.co_runners };
+        let op = CoherentOp { core: 0, kind, line, fill: up.fill, victim };
+        coherence(llc, &mut cores, op, None, None);
+        up.cycles + r.cycles
     }
 
     /// Issues a line flush (the Flush+Reload attacker primitive, the
@@ -625,7 +533,7 @@ impl Machine {
     /// fetches.
     ///
     /// On a shared-LLC machine the trace runs through the multicore
-    /// segment engine instead: cache state still matches the scalar
+    /// merge loop instead: cache state still matches the scalar
     /// ops exactly, but trace replay additionally arbitrates for the
     /// memory bus (the scalar convenience ops never do). With no
     /// co-runners and at most one bus transaction per op
@@ -666,43 +574,25 @@ impl Machine {
             }
             return self.cycles - before;
         }
-        let cfg = self.interference.unwrap_or_default();
-        if let Some(llc) = self.shared_llc.as_mut() {
-            // Shared-LLC platform: the segment engine resolves every
+        if self.shared_llc.is_some() || self.is_contended() {
+            // The multicore engine, with this machine as its one finite
+            // core. On a shared-LLC platform it resolves every
             // shared-level fill/writeback in merge order against the
-            // one shared cache. With no co-runners it degenerates to
-            // the solo shared walk — identical cache state; the only
-            // residual cost is bus occupancy between one op's own
-            // back-to-back transactions (write-back only, see the doc
-            // above).
-            let seg = run_contended_segment_shared_with(
-                &mut self.hierarchy,
-                self.pid,
-                ops,
+            // one shared cache; with no co-runners it degenerates to
+            // the solo shared walk — identical cache state, the only
+            // residual cost being bus occupancy between one op's own
+            // back-to-back transactions (write-back only, see above).
+            let out = execute(
+                &mut [CoreRun { hierarchy: &mut self.hierarchy, pid: self.pid, ops }],
                 &mut self.co_runners,
-                llc,
-                &cfg,
-                &mut self.timing_scratch,
-                &mut self.llc_scratch,
+                self.shared_llc.as_mut(),
+                &self.interference.unwrap_or_default(),
                 self.recorder.as_ref(),
             );
-            self.cycles += seg.primary.cycles;
-            self.contention_cycles += seg.primary.bus_wait + seg.primary.mshr_stall_cycles;
-            return seg.primary.cycles;
-        }
-        if let Some(cfg) = self.interference.filter(|_| !self.co_runners.is_empty()) {
-            let seg = run_contended_segment_with(
-                &mut self.hierarchy,
-                self.pid,
-                ops,
-                &mut self.co_runners,
-                &cfg,
-                &mut self.timing_scratch,
-                self.recorder.as_ref(),
-            );
-            self.cycles += seg.primary.cycles;
-            self.contention_cycles += seg.primary.bus_wait + seg.primary.mshr_stall_cycles;
-            return seg.primary.cycles;
+            let primary = out.cores[0];
+            self.cycles += primary.cycles;
+            self.contention_cycles += primary.bus_wait + primary.mshr_stall_cycles;
+            return primary.cycles;
         }
         if let Some(rec) = self.recorder.clone() {
             // Solo private walk, recorded: the timed batch twin yields
@@ -1044,7 +934,7 @@ mod tests {
     #[test]
     fn shared_machine_run_trace_matches_scalar_ops() {
         // Write-through platform: at most one bus transaction per op,
-        // so a solo core never self-queues and the segment engine must
+        // so a solo core never self-queues and the merge loop must
         // agree with the (bus-free) scalar ops cycle for cycle.
         let ops: Vec<TraceOp> =
             (0..600u64).map(|i| TraceOp::read(Addr::new((i * 3091) % (1 << 18)))).collect();

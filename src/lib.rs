@@ -12,7 +12,7 @@
 //!   four experimental setups.
 //! * [`interference`] — multi-core contention: the shared
 //!   memory bus (round-robin / fixed-priority / TDMA), MSHR files,
-//!   and the contended multi-core execution engines.
+//!   and the one contended multi-core merge loop.
 //! * [`sim`] — the execution-driven timing simulator.
 //! * [`aes`] — AES-128 (reference + T-tables + simulator-
 //!   instrumented).
