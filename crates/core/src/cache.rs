@@ -133,10 +133,9 @@ pub struct EvictedLine {
     pub dirty: bool,
 }
 
-/// One dirty-eviction writeback emitted while draining a batch, in
-/// access order: the victim line, its owner, and the index of the
-/// originating access in the batch's input (or the caller-provided
-/// op index, see [`BatchIo::idx`]).
+/// One dirty-eviction writeback travelling down a hierarchy's batch
+/// walk: the victim line, its owner, and the index of the trace op
+/// whose access evicted it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Writeback {
     /// The dirty line written back.
@@ -214,25 +213,22 @@ impl core::ops::Add for BatchOutcome {
     }
 }
 
-/// Optional inputs and sinks of [`Cache::access_batch_io`], the batch
-/// engine behind every hierarchy-level pass. All fields default to
-/// `None`, collapsing to the plain read-only batch walk.
-#[derive(Default)]
-pub struct BatchIo<'a, 'b> {
-    /// Per-line write flags (`None` = every access is a read). Must
-    /// match `lines` in length.
-    pub writes: Option<&'a [bool]>,
-    /// Original op index per line (`None` = positions `0..len`). Must
-    /// match `lines` in length. Lets a hierarchy level report misses
-    /// and writebacks in terms of the *originating trace op* even
-    /// though its input stream is already a filtered miss stream.
-    pub idx: Option<&'a [u32]>,
-    /// Sink for missing lines, in access order.
-    pub misses: Option<&'b mut Vec<LineAddr>>,
-    /// Sink for the missing lines' op indices, parallel to `misses`.
-    pub miss_idx: Option<&'b mut Vec<u32>>,
-    /// Sink for dirty-eviction writebacks, in access order.
-    pub writebacks: Option<&'b mut Vec<Writeback>>,
+/// Receives the per-access events of [`Cache::access_batch_into`]:
+/// `pos` is the access's position in the batch's input. The batch loop
+/// is monomorphized per sink, so `()` — which discards both events —
+/// costs nothing.
+pub trait MissSink {
+    /// The access at `pos` missed and filled `line`.
+    fn miss(&mut self, pos: usize, line: LineAddr);
+    /// The access at `pos` evicted dirty `line`, owned by `owner`.
+    fn writeback(&mut self, pos: usize, line: LineAddr, owner: ProcessId);
+}
+
+impl MissSink for () {
+    #[inline]
+    fn miss(&mut self, _: usize, _: LineAddr) {}
+    #[inline]
+    fn writeback(&mut self, _: usize, _: LineAddr, _: ProcessId) {}
 }
 
 /// One-entry context cache for the hot process: seed and way range.
@@ -843,21 +839,15 @@ impl Cache {
         self.access_rw(pid, line, false)
     }
 
-    /// Accesses `line` on behalf of `pid` as a *write* (write-allocate:
-    /// a miss fills the line first). Under [`WritePolicy::WriteBack`]
-    /// the line is marked dirty; under write-through the access is
-    /// indistinguishable from a read (the store drains through a write
-    /// buffer this model treats as free).
+    /// [`access`](Self::access) as a read or, with `write`, as a
+    /// *write* (write-allocate: a miss fills the line first). Under
+    /// [`WritePolicy::WriteBack`] a write marks the line dirty; under
+    /// write-through it is indistinguishable from a read (the store
+    /// drains through a write buffer this model treats as free).
     ///
     /// # Panics
     ///
     /// As [`access`](Self::access).
-    pub fn access_write(&mut self, pid: ProcessId, line: LineAddr) -> AccessOutcome {
-        self.access_rw(pid, line, true)
-    }
-
-    /// The read/write access entry point; see [`access`](Self::access)
-    /// and [`access_write`](Self::access_write).
     pub fn access_rw(&mut self, pid: ProcessId, line: LineAddr, write: bool) -> AccessOutcome {
         assert_ne!(line.as_u64(), INVALID_TAG, "line address collides with sentinel");
         let (seed, lo, hi) = self.context(pid);
@@ -915,134 +905,48 @@ impl Cache {
     /// assert_eq!(warm.hits, 64);
     /// ```
     pub fn access_batch(&mut self, pid: ProcessId, lines: &[LineAddr]) -> BatchOutcome {
-        self.batch_inner(pid, lines, BatchIo::default())
+        self.access_batch_into(pid, lines, None, &mut ())
     }
 
-    /// Like [`access_batch`](Self::access_batch), but additionally
-    /// appends every *missing* line to `misses`, in access order.
-    ///
-    /// This is the level-to-level conduit of
-    /// [`Hierarchy::access_batch`](crate::hierarchy::Hierarchy::access_batch):
-    /// the miss stream of one level is exactly the access stream of the
-    /// next level down, so batching the whole hierarchy is a chain of
-    /// these calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any line is `u64::MAX` (the [`INVALID_TAG`] sentinel),
-    /// as [`access`](Self::access) does.
-    pub fn access_batch_collect(
-        &mut self,
-        pid: ProcessId,
-        lines: &[LineAddr],
-        misses: &mut Vec<LineAddr>,
-    ) -> BatchOutcome {
-        self.batch_inner(pid, lines, BatchIo { misses: Some(misses), ..BatchIo::default() })
-    }
-
-    /// The fully-featured batch entry point: reads and writes mixed
-    /// (per-line write flags), caller-supplied op indices, and sinks
-    /// for the miss stream, the misses' op indices and the dirty-
-    /// eviction writebacks. [`Hierarchy::access_batch`] drives every
-    /// level through this method; the simpler batch calls are wrappers
-    /// passing an empty [`BatchIo`].
+    /// The batch loop behind every batched access: like
+    /// [`access_batch`](Self::access_batch), with per-line write flags
+    /// (`None` = every access is a read) and each miss and dirty
+    /// eviction reported to `sink`, in access order. The outcome
+    /// counts dirty evictions whatever the sink does with them (a read
+    /// can displace a line an earlier write dirtied).
     ///
     /// # Panics
     ///
     /// Panics if any line is `u64::MAX` (the [`INVALID_TAG`] sentinel)
-    /// or if a provided `writes`/`idx` slice disagrees with `lines` in
-    /// length.
-    pub fn access_batch_io(
+    /// or if `writes` disagrees with `lines` in length.
+    pub fn access_batch_into<S: MissSink>(
         &mut self,
         pid: ProcessId,
         lines: &[LineAddr],
-        io: BatchIo<'_, '_>,
+        writes: Option<&[bool]>,
+        sink: &mut S,
     ) -> BatchOutcome {
-        self.batch_inner(pid, lines, io)
-    }
-
-    fn batch_inner(
-        &mut self,
-        pid: ProcessId,
-        lines: &[LineAddr],
-        io: BatchIo<'_, '_>,
-    ) -> BatchOutcome {
-        // The read-only miss-collect shape (the write-through hot path)
-        // skips all per-op event plumbing.
-        if io.writes.is_none()
-            && io.idx.is_none()
-            && io.miss_idx.is_none()
-            && io.writebacks.is_none()
-        {
-            return self.batch_reads(pid, lines, io.misses);
-        }
-        if let Some(writes) = io.writes {
+        if let Some(writes) = writes {
             assert_eq!(writes.len(), lines.len(), "write flags length mismatch");
         }
-        if let Some(idx) = io.idx {
-            assert_eq!(idx.len(), lines.len(), "op index length mismatch");
-        }
-        let BatchIo { writes, idx, mut misses, mut miss_idx, mut writebacks } = io;
         let (seed, lo, hi) = self.context(pid);
         let mut out = BatchOutcome::default();
         let mut cross = 0u64;
-        for (i, &line) in lines.iter().enumerate() {
+        for (pos, &line) in lines.iter().enumerate() {
             assert_ne!(line.as_u64(), INVALID_TAG, "line address collides with sentinel");
-            let write = writes.is_some_and(|w| w[i]);
+            let write = writes.is_some_and(|w| w[pos]);
             match self.access_inner(pid, line, seed, lo, hi, write) {
                 InnerOutcome::Hit => out.hits += 1,
                 InnerOutcome::Miss { evicted, redirected, cross_process } => {
-                    let op_idx = idx.map_or(i as u32, |v| v[i]);
                     out.misses += 1;
                     out.evictions += evicted.is_some() as u64;
                     out.redirected += redirected as u64;
                     cross += cross_process as u64;
                     if let Some(ev) = evicted.filter(|ev| ev.dirty) {
                         out.writebacks += 1;
-                        if let Some(sink) = writebacks.as_deref_mut() {
-                            sink.push(Writeback { line: ev.line, owner: ev.owner, op_idx });
-                        }
+                        sink.writeback(pos, ev.line, ev.owner);
                     }
-                    if let Some(sink) = misses.as_deref_mut() {
-                        sink.push(line);
-                    }
-                    if let Some(sink) = miss_idx.as_deref_mut() {
-                        sink.push(op_idx);
-                    }
-                }
-            }
-        }
-        self.stats.record_batch(out.hits, out.misses, out.evictions, cross);
-        self.stats.record_writebacks(out.writebacks);
-        out
-    }
-
-    /// The lean all-reads batch loop (`access`'s batched twin): no
-    /// write flags, no op-index bookkeeping, no writeback sink. Dirty
-    /// evictions are still *counted* (a read can displace a line some
-    /// earlier write dirtied), they just aren't materialized.
-    fn batch_reads(
-        &mut self,
-        pid: ProcessId,
-        lines: &[LineAddr],
-        mut misses: Option<&mut Vec<LineAddr>>,
-    ) -> BatchOutcome {
-        let (seed, lo, hi) = self.context(pid);
-        let mut out = BatchOutcome::default();
-        let mut cross = 0u64;
-        for &line in lines {
-            assert_ne!(line.as_u64(), INVALID_TAG, "line address collides with sentinel");
-            match self.access_inner(pid, line, seed, lo, hi, false) {
-                InnerOutcome::Hit => out.hits += 1,
-                InnerOutcome::Miss { evicted, redirected, cross_process } => {
-                    out.misses += 1;
-                    out.evictions += evicted.is_some() as u64;
-                    out.redirected += redirected as u64;
-                    out.writebacks += evicted.is_some_and(|ev| ev.dirty) as u64;
-                    cross += cross_process as u64;
-                    if let Some(sink) = misses.as_deref_mut() {
-                        sink.push(line);
-                    }
+                    sink.miss(pos, line);
                 }
             }
         }
@@ -1649,7 +1553,7 @@ mod tests {
         let mut c = small_cache(PlacementKind::Modulo, ReplacementKind::Lru);
         let p = pid(1);
         for i in 0..64u64 {
-            c.access_write(p, LineAddr::new(i));
+            c.access_rw(p, LineAddr::new(i), true);
         }
         assert_eq!(c.dirty_lines(), 0);
         assert_eq!(c.stats().writebacks(), 0);
@@ -1663,8 +1567,8 @@ mod tests {
         let p = pid(1);
         // Fill set 0 of the 8-set, 2-way cache with two dirty lines,
         // then displace both with clean reads.
-        c.access_write(p, LineAddr::new(0));
-        c.access_write(p, LineAddr::new(8));
+        c.access_rw(p, LineAddr::new(0), true);
+        c.access_rw(p, LineAddr::new(8), true);
         assert_eq!(c.dirty_lines(), 2);
         match c.access(p, LineAddr::new(16)) {
             AccessOutcome::Miss { evicted: Some(ev), .. } => {
@@ -1685,7 +1589,7 @@ mod tests {
         let p = pid(1);
         c.access(p, LineAddr::new(0)); // clean fill
         assert_eq!(c.dirty_lines(), 0);
-        c.access_write(p, LineAddr::new(0)); // write hit
+        c.access_rw(p, LineAddr::new(0), true); // write hit
         assert_eq!(c.dirty_lines(), 1);
     }
 
@@ -1705,6 +1609,22 @@ mod tests {
         assert_eq!(wt.dirty_lines(), 0);
     }
 
+    /// Records every event a batch reports, tagged with its position.
+    #[derive(Default)]
+    struct Events {
+        misses: Vec<(usize, LineAddr)>,
+        writebacks: Vec<Writeback>,
+    }
+
+    impl MissSink for Events {
+        fn miss(&mut self, pos: usize, line: LineAddr) {
+            self.misses.push((pos, line));
+        }
+        fn writeback(&mut self, pos: usize, line: LineAddr, owner: ProcessId) {
+            self.writebacks.push(Writeback { line, owner, op_idx: pos as u32 });
+        }
+    }
+
     #[test]
     fn batch_rw_matches_scalar_rw_with_writebacks() {
         for placement in PlacementKind::ALL {
@@ -1717,11 +1637,11 @@ mod tests {
                 c.set_seed(pid(1), Seed::new(11));
             }
             let mut scalar_wbs = Vec::new();
+            let mut scalar_misses = Vec::new();
             for (i, &(l, w)) in trace.iter().enumerate() {
-                if let AccessOutcome::Miss { evicted: Some(ev), .. } =
-                    scalar.access_rw(pid(1), l, w)
-                {
-                    if ev.dirty {
+                if let AccessOutcome::Miss { evicted, .. } = scalar.access_rw(pid(1), l, w) {
+                    scalar_misses.push((i, l));
+                    if let Some(ev) = evicted.filter(|ev| ev.dirty) {
                         scalar_wbs.push(Writeback {
                             line: ev.line,
                             owner: ev.owner,
@@ -1732,17 +1652,10 @@ mod tests {
             }
             let lines: Vec<LineAddr> = trace.iter().map(|&(l, _)| l).collect();
             let writes: Vec<bool> = trace.iter().map(|&(_, w)| w).collect();
-            let mut batch_wbs = Vec::new();
-            let out = batched.access_batch_io(
-                pid(1),
-                &lines,
-                BatchIo {
-                    writes: Some(&writes),
-                    writebacks: Some(&mut batch_wbs),
-                    ..BatchIo::default()
-                },
-            );
-            assert_eq!(batch_wbs, scalar_wbs, "{placement}: writeback streams diverge");
+            let mut sink = Events::default();
+            let out = batched.access_batch_into(pid(1), &lines, Some(&writes), &mut sink);
+            assert_eq!(sink.misses, scalar_misses, "{placement}: miss streams diverge");
+            assert_eq!(sink.writebacks, scalar_wbs, "{placement}: writeback streams diverge");
             assert_eq!(out.writebacks, scalar_wbs.len() as u64, "{placement}");
             assert_eq!(scalar.stats(), batched.stats(), "{placement}");
             assert_eq!(scalar.dirty_lines(), batched.dirty_lines(), "{placement}");

@@ -9,18 +9,22 @@
 //! down the levels until it hits. [`Hierarchy::access_batch`] executes
 //! a whole [`TraceOp`] segment with identical outcomes but amortized
 //! bookkeeping: the L1s are driven in maximal same-port runs through
-//! [`Cache::access_batch_collect`], each level's *miss stream* (kept in
+//! [`Cache::access_batch_into`], each level's *miss stream* (kept in
 //! op order) becomes the access stream of the next level down, and
 //! statistics are folded in per level instead of per op. Because every
 //! cache draws from its own RNG and upper-level accesses never touch
 //! lower-level state, deferring each level's accesses until its full
 //! input stream is known reproduces the scalar interleaving bit for
 //! bit — the differential test suite pins this across every placement
-//! × replacement combination and both hierarchy depths.
+//! × replacement combination and both hierarchy depths. One walk serves
+//! every batch entry point ([`Hierarchy::access_batch`],
+//! [`Hierarchy::access_batch_cycles`], [`Hierarchy::access_batch_timed`]):
+//! write-back evictions and flush ops thread between the levels in the
+//! same op-ordered stream as the misses.
 
 use crate::addr::{Addr, LineAddr};
 use crate::cache::{
-    AccessOutcome, BatchIo, BatchOutcome, Cache, InvalidatedCopy, WritePolicy, Writeback,
+    AccessOutcome, BatchOutcome, Cache, InvalidatedCopy, MissSink, WritePolicy, Writeback,
 };
 use crate::defense::{DefenseKind, RotationPolicy};
 use crate::geometry::CacheGeometry;
@@ -35,8 +39,8 @@ use core::fmt;
 /// L1 hits, a 10-cycle L2 penalty and an 80-cycle memory penalty.
 ///
 /// Deeper hierarchies carry one hit latency per unified level inside
-/// [`Hierarchy`]; this struct remains the convenient two-level view
-/// (see [`Hierarchy::latencies`]).
+/// [`Hierarchy`] (see [`Hierarchy::level_hit_cycles`]); this struct is
+/// the two-level constructor input of [`Hierarchy::new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Latencies {
     /// Cycles for an L1 hit.
@@ -201,12 +205,13 @@ pub struct HierarchyInvalidation {
 }
 
 /// The request stream one core sends its shared last-level cache for a
-/// trace segment, exported by [`Hierarchy::access_batch_upper_timed`]:
-/// the last private level's miss stream (fill requests, with
-/// originating op indices) and the dirty-eviction writebacks no
-/// private level absorbed, both in op order. `writebacks` carry
-/// nondecreasing `op_idx`, and a writeback of op `i` precedes op `i`'s
-/// fill — the order the scalar walk's victim buffer drains.
+/// trace segment, exported by [`Hierarchy::access_batch_timed`]: the
+/// last private level's miss stream (fill requests, with originating
+/// op indices) and the dirty-eviction writebacks no private level
+/// absorbed, both in op order. `writebacks` carry nondecreasing
+/// `op_idx`, and a writeback of op `i` precedes op `i`'s fill — the
+/// order the scalar walk's victim buffer drains. The batch walk
+/// threads the same shape between its own levels.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LlcRequests {
     /// Fill requests (lines that missed every private level).
@@ -275,7 +280,7 @@ impl LlcRequests {
 ///
 /// The shared level sits *behind* the per-core private hierarchies
 /// ([`Hierarchy::access_upper_detailed`] /
-/// [`Hierarchy::access_batch_upper_timed`] produce its request
+/// [`Hierarchy::access_batch_timed`] produce its request
 /// streams) and *in front of* the memory bus: a shared-LLC hit never
 /// pays a bus transaction, only misses and writebacks that reach
 /// memory do.
@@ -610,25 +615,14 @@ impl SharedLlc {
 
     /// Resolves one op's complete shared-level traffic on behalf of
     /// `pid`: the op's escaped private-level writebacks are delivered
-    /// first (victim-drain order), then the fill request, if any. This
-    /// is THE shared-level resolution — every consumer (the multicore
-    /// merge loop's per-op composition and the machine's scalar ops)
-    /// funnels through it, so the latency/traffic contract cannot
-    /// silently diverge between paths.
+    /// first (victim-drain order), then the fill request, if any.
+    /// Also reports the line the fill displaced from the shared level
+    /// (if any), so the coherence layer can back-invalidate a tracked
+    /// victim's private copies (inclusive-LLC semantics). The
+    /// multicore merge loop and the machine's scalar ops both resolve
+    /// through it, so the latency/traffic contract cannot diverge
+    /// between paths.
     pub fn resolve(
-        &mut self,
-        pid: ProcessId,
-        fill: Option<LineAddr>,
-        writebacks: &[Writeback],
-    ) -> LlcResolution {
-        self.resolve_evict(pid, fill, writebacks).0
-    }
-
-    /// [`resolve`](Self::resolve), additionally reporting the line the
-    /// fill displaced from the shared level (if any) so the coherence
-    /// layer can back-invalidate a tracked victim's private copies
-    /// (inclusive-LLC semantics).
-    pub fn resolve_evict(
         &mut self,
         pid: ProcessId,
         fill: Option<LineAddr>,
@@ -692,15 +686,58 @@ pub struct HierarchyBatchOutcome {
     /// One aggregate per unified level, L2 outward. The level's
     /// access count is the miss count of the levels above it.
     pub unified: Vec<BatchOutcome>,
-    /// Dirty writebacks that cascaded past every level to memory.
+    /// Dirty writebacks that cascaded past every level to memory, plus
+    /// dirty copies drained by flush ops.
     pub mem_writebacks: u64,
 }
 
-impl HierarchyBatchOutcome {
-    /// Accesses that left the last cache level and went to memory.
-    pub fn memory_accesses(&self) -> u64 {
-        self.unified.last().map_or(self.l1i.misses + self.l1d.misses, |l| l.misses)
+/// The batch walk's [`MissSink`]: appends one cache pass's misses and
+/// writebacks to the conduit toward the next level, tagged with their
+/// originating op index — `base + pos` for an L1 run, `idx[pos]` for a
+/// lower level's fill run.
+struct Spill<'a> {
+    base: u32,
+    idx: Option<&'a [u32]>,
+    to: &'a mut LlcRequests,
+}
+
+impl Spill<'_> {
+    #[inline]
+    fn op(&self, pos: usize) -> u32 {
+        match self.idx {
+            Some(idx) => idx[pos],
+            None => self.base + pos as u32,
+        }
     }
+}
+
+impl MissSink for Spill<'_> {
+    #[inline]
+    fn miss(&mut self, pos: usize, line: LineAddr) {
+        let op_idx = self.op(pos);
+        self.to.fills.push(line);
+        self.to.fill_idx.push(op_idx);
+    }
+
+    #[inline]
+    fn writeback(&mut self, pos: usize, line: LineAddr, owner: ProcessId) {
+        let op_idx = self.op(pos);
+        self.to.writebacks.push(Writeback { line, owner, op_idx });
+    }
+}
+
+/// Reused buffers of the batch walk, taken and restored once per call.
+#[derive(Debug, Default)]
+struct WalkScratch {
+    /// The current L1 run's lines and (write-back only) write flags.
+    lines: Vec<LineAddr>,
+    writes: Vec<bool>,
+    /// The conduit into the current level and out of it, swapped per
+    /// level: its fill stream with op indices, and its writebacks.
+    cur: LlcRequests,
+    next: LlcRequests,
+    /// Flush events `(op_idx, line)`, threaded through every level.
+    flushes: Vec<(u32, LineAddr)>,
 }
 
 /// One unified cache level below the split L1s.
@@ -741,26 +778,11 @@ pub struct Hierarchy {
     l1_hit: u32,
     memory: u32,
     /// Cached `any level is write-back` flag (kept fresh by
-    /// [`set_write_policy`](Self::set_write_policy)); selects between
-    /// the lean write-through walks and the event-conduit walks.
+    /// [`set_write_policy`](Self::set_write_policy)): the scalar
+    /// [`access`](Self::access) skips writeback bookkeeping without
+    /// it, and the batch walk builds per-op write flags only with it.
     has_writeback: bool,
-    /// Reused batch scratch: per-run line buffer and the ping-pong
-    /// miss buffers threaded between levels.
-    scratch_lines: Vec<LineAddr>,
-    scratch_cur: Vec<LineAddr>,
-    scratch_next: Vec<LineAddr>,
-    /// Extra scratch of the event-conduit walk (write-back configs and
-    /// timed batches): per-run write flags and op indices, the miss
-    /// streams' op indices, and the ping-pong writeback buffers.
-    scratch_writes: Vec<bool>,
-    scratch_run_idx: Vec<u32>,
-    scratch_cur_idx: Vec<u32>,
-    scratch_next_idx: Vec<u32>,
-    scratch_wb_cur: Vec<Writeback>,
-    scratch_wb_next: Vec<Writeback>,
-    /// Flush events `(op_idx, line)` of the current batch, threaded
-    /// through every level of the event-conduit walk.
-    scratch_flushes: Vec<(u32, LineAddr)>,
+    scratch: WalkScratch,
 }
 
 impl Hierarchy {
@@ -804,8 +826,8 @@ impl Hierarchy {
     ///
     /// Drive such a hierarchy through
     /// [`access_upper_detailed`](Self::access_upper_detailed) /
-    /// [`access_batch_upper_timed`](Self::access_batch_upper_timed);
-    /// the full-walk entry points would charge the memory penalty on a
+    /// [`access_batch_timed`](Self::access_batch_timed) with a request
+    /// export; the other entry points charge the memory penalty on a
     /// last-*private*-level miss, ignoring the shared level.
     ///
     /// # Panics
@@ -839,16 +861,7 @@ impl Hierarchy {
             l1_hit,
             memory,
             has_writeback: false,
-            scratch_lines: Vec::new(),
-            scratch_cur: Vec::new(),
-            scratch_next: Vec::new(),
-            scratch_writes: Vec::new(),
-            scratch_run_idx: Vec::new(),
-            scratch_cur_idx: Vec::new(),
-            scratch_next_idx: Vec::new(),
-            scratch_wb_cur: Vec::new(),
-            scratch_wb_next: Vec::new(),
-            scratch_flushes: Vec::new(),
+            scratch: WalkScratch::default(),
         };
         h.refresh_has_writeback();
         h
@@ -873,30 +886,9 @@ impl Hierarchy {
         )
     }
 
-    /// The two-level latency view: L1 hit, first-unified-level hit,
-    /// memory. Deeper levels' latencies are read per level via
-    /// [`level_hit_cycles`](Self::level_hit_cycles).
-    pub fn latencies(&self) -> Latencies {
-        Latencies { l1_hit: self.l1_hit, l2_hit: self.levels[0].hit_cycles, memory: self.memory }
-    }
-
-    /// Replaces the L1-hit, L2-hit and memory latencies (deeper levels
-    /// keep their configured hit cycles).
-    pub fn set_latencies(&mut self, latencies: Latencies) {
-        self.l1_hit = latencies.l1_hit;
-        self.levels[0].hit_cycles = latencies.l2_hit;
-        self.memory = latencies.memory;
-    }
-
     /// Number of cache levels (the split L1 pair counts as one).
     pub fn depth(&self) -> usize {
         1 + self.levels.len()
-    }
-
-    /// Cycles of an L1 hit (safe on L1-only private hierarchies, where
-    /// [`latencies`](Self::latencies) has no unified level to report).
-    pub fn l1_hit_cycles(&self) -> u32 {
-        self.l1_hit
     }
 
     /// Additional hit cycles of unified level `i` (0 = L2).
@@ -942,7 +934,7 @@ impl Hierarchy {
     pub fn access_detailed(&mut self, pid: ProcessId, kind: AccessKind, addr: Addr) -> OpTiming {
         // Borrows the batch walk's writeback scratch; the two walks
         // never run at once.
-        let mut escaped = core::mem::take(&mut self.scratch_wb_next);
+        let mut escaped = core::mem::take(&mut self.scratch.next.writebacks);
         escaped.clear();
         let up = self.access_upper_detailed(pid, kind, addr, 0, &mut escaped);
         let timing = OpTiming {
@@ -950,7 +942,7 @@ impl Hierarchy {
             miss_mask: up.miss_mask,
             mem_writebacks: up.mem_writebacks + escaped.len() as u8,
         };
-        self.scratch_wb_next = escaped;
+        self.scratch.next.writebacks = escaped;
         timing
     }
 
@@ -1046,45 +1038,23 @@ impl Hierarchy {
         sink.push(Writeback { line, owner, op_idx });
     }
 
-    /// [`access_batch_timed`](Self::access_batch_timed) for a core
-    /// whose last unified level is a [`SharedLlc`]: executes the whole
-    /// segment through the private levels and exports the shared-level
-    /// request stream into `llc` (cleared and refilled) instead of
-    /// charging the memory penalty. `events[i]` carries op `i`'s
-    /// private-level cycles and miss bits; the shared level's bit,
-    /// latency and memory traffic are composed by the engine that
-    /// resolves `llc` against the shared cache.
-    ///
-    /// Private-level outcomes are a pure function of this core's own
-    /// trace — no shared state is touched — which is what lets the
-    /// multicore merge loop pre-walk every core's private levels
-    /// and still replay the shared level in exact global op order.
-    pub fn access_batch_upper_timed(
-        &mut self,
-        pid: ProcessId,
-        ops: &[TraceOp],
-        events: &mut Vec<OpTiming>,
-        llc: &mut LlcRequests,
-    ) -> HierarchyBatchOutcome {
-        let mut out = HierarchyBatchOutcome {
-            ops: ops.len() as u64,
-            unified: Vec::with_capacity(self.levels.len()),
-            ..HierarchyBatchOutcome::default()
-        };
-        events.clear();
-        events.resize(ops.len(), OpTiming { cycles: self.l1_hit, miss_mask: 0, mem_writebacks: 0 });
-        out.cycles =
-            self.batch_walk_events_export(pid, ops, Some(&mut out), Some(events), Some(llc));
-        out
-    }
-
-    /// Recomputes the cached write-back flag (selects the event-
-    /// conduit walks that thread writebacks between levels). Policies
-    /// only change through [`set_write_policy`](Self::set_write_policy)
-    /// or construction, so the flag cannot go stale.
+    /// Recomputes the cached write-back flag (the batch walk builds
+    /// per-op write flags only when some level can hold dirty data).
+    /// Policies only change through
+    /// [`set_write_policy`](Self::set_write_policy) or construction, so
+    /// the flag cannot go stale.
     fn refresh_has_writeback(&mut self) {
         self.has_writeback = self.l1d.write_policy() == WritePolicy::WriteBack
             || self.levels.iter().any(|l| l.cache.write_policy() == WritePolicy::WriteBack);
+    }
+
+    /// An empty per-level report for a batch of `ops`.
+    fn batch_outcome(&self, ops: &[TraceOp]) -> HierarchyBatchOutcome {
+        HierarchyBatchOutcome {
+            ops: ops.len() as u64,
+            unified: Vec::with_capacity(self.levels.len()),
+            ..HierarchyBatchOutcome::default()
+        }
     }
 
     /// Executes a whole trace segment on behalf of `pid`, returning
@@ -1114,12 +1084,8 @@ impl Hierarchy {
     /// assert_eq!(out.unified[0].misses, 1);
     /// ```
     pub fn access_batch(&mut self, pid: ProcessId, ops: &[TraceOp]) -> HierarchyBatchOutcome {
-        let mut out = HierarchyBatchOutcome {
-            ops: ops.len() as u64,
-            unified: Vec::with_capacity(self.levels.len()),
-            ..HierarchyBatchOutcome::default()
-        };
-        out.cycles = self.batch_walk(pid, ops, Some(&mut out));
+        let mut out = self.batch_outcome(ops);
+        out.cycles = self.batch_walk(pid, ops, Some(&mut out), None, None);
         out
     }
 
@@ -1129,7 +1095,7 @@ impl Hierarchy {
     /// calls once per trace segment; cache state, statistics and the
     /// returned cycles are identical to `access_batch`.
     pub fn access_batch_cycles(&mut self, pid: ProcessId, ops: &[TraceOp]) -> u64 {
-        self.batch_walk(pid, ops, None)
+        self.batch_walk(pid, ops, None, None, None)
     }
 
     /// [`access_batch`](Self::access_batch) plus a per-op
@@ -1137,152 +1103,62 @@ impl Hierarchy {
     /// twin of [`access_detailed`](Self::access_detailed), pinned
     /// bit-identical to a scalar walk by the multi-core differential
     /// suite. `events[i]` describes `ops[i]`.
+    ///
+    /// With `llc`, the hierarchy is a core's private portion in front
+    /// of a [`SharedLlc`]: the walk exports the shared-level request
+    /// stream into `llc` (cleared and refilled) instead of charging
+    /// the memory penalty, so `events[i]` carries op `i`'s
+    /// private-level cycles and miss bits, and the shared level's bit,
+    /// latency and memory traffic are composed by the engine that
+    /// resolves `llc` — the batch twin of
+    /// [`access_upper_detailed`](Self::access_upper_detailed). The
+    /// outcome's `mem_writebacks` then counts only flush-forced drains.
+    /// Private-level outcomes are a pure function of this core's own
+    /// trace — no shared state is touched — which is what lets the
+    /// multicore merge loop pre-walk every core's private levels and
+    /// still replay the shared level in exact global op order.
     pub fn access_batch_timed(
         &mut self,
         pid: ProcessId,
         ops: &[TraceOp],
         events: &mut Vec<OpTiming>,
+        llc: Option<&mut LlcRequests>,
     ) -> HierarchyBatchOutcome {
-        let mut out = HierarchyBatchOutcome {
-            ops: ops.len() as u64,
-            unified: Vec::with_capacity(self.levels.len()),
-            ..HierarchyBatchOutcome::default()
-        };
+        let mut out = self.batch_outcome(ops);
         events.clear();
         events.resize(ops.len(), OpTiming { cycles: self.l1_hit, miss_mask: 0, mem_writebacks: 0 });
-        out.cycles = self.batch_walk_events_export(pid, ops, Some(&mut out), Some(events), None);
+        out.cycles = self.batch_walk(pid, ops, Some(&mut out), Some(events), llc);
         out
     }
 
-    /// The shared batch engine; fills `sink`'s per-level aggregates
-    /// when given one, and returns the batch's cycle total. Write-back
-    /// configurations route through the event-conduit walk so dirty
-    /// evictions thread between levels exactly as the scalar walk
-    /// delivers them.
-    fn batch_walk(
-        &mut self,
-        pid: ProcessId,
-        ops: &[TraceOp],
-        sink: Option<&mut HierarchyBatchOutcome>,
-    ) -> u64 {
-        // Flush ops invalidate at *every* level in op order, which the
-        // fast walk's deferred lower-level streams cannot express; the
-        // event-conduit walk threads them like writebacks. The scan is
-        // one predictable compare per op — noise next to the walk.
-        if self.has_writeback || ops.iter().any(|op| op.kind == AccessKind::Flush) {
-            self.batch_walk_events_export(pid, ops, sink, None, None)
-        } else {
-            self.batch_walk_fast(pid, ops, sink)
-        }
-    }
-
-    /// The allocation-free fast walk for write-through configurations
-    /// (no writebacks can occur, so the conduit carries lines only).
-    ///
-    /// It stays next to the event-conduit walk because removing it is
-    /// not shown to be free. Routing `batch_walk` always through the
-    /// events walk left the campaign benchmark's `sim_digest`
-    /// unchanged, but over 4 alternating pairs of 40 s `pwcet` runs (a
-    /// 2-vCPU Xeon host) the change/parent `ops_per_s` ratios were
-    /// 1.04, 0.93, 0.99 and 0.86, and `peak_rss_mb` was 4–8% higher
-    /// in every pair.
-    fn batch_walk_fast(
-        &mut self,
-        pid: ProcessId,
-        ops: &[TraceOp],
-        mut sink: Option<&mut HierarchyBatchOutcome>,
-    ) -> u64 {
-        let mut lines = core::mem::take(&mut self.scratch_lines);
-        let mut cur = core::mem::take(&mut self.scratch_cur);
-        let mut next = core::mem::take(&mut self.scratch_next);
-        cur.clear();
-
-        let mut cycles = ops.len() as u64 * self.l1_hit as u64;
-
-        // Phase 1: the split L1s, in maximal same-port runs. Misses
-        // spill into `cur` in op order — the exact stream the scalar
-        // path would have sent down.
-        let offset_bits = self.l1i.geometry().offset_bits();
-        let mut i = 0usize;
-        while i < ops.len() {
-            let fetch = ops[i].kind == AccessKind::Fetch;
-            let mut j = i + 1;
-            while j < ops.len() && (ops[j].kind == AccessKind::Fetch) == fetch {
-                j += 1;
-            }
-            lines.clear();
-            lines.extend(ops[i..j].iter().map(|op| op.addr.line(offset_bits)));
-            let agg = if fetch {
-                self.l1i.access_batch_collect(pid, &lines, &mut cur)
-            } else {
-                self.l1d.access_batch_collect(pid, &lines, &mut cur)
-            };
-            if let Some(out) = sink.as_deref_mut() {
-                if fetch {
-                    out.l1i += agg;
-                } else {
-                    out.l1d += agg;
-                }
-            }
-            i = j;
-        }
-
-        // Phase 2: thread the miss stream through the unified levels.
-        for level in &mut self.levels {
-            cycles += cur.len() as u64 * level.hit_cycles as u64;
-            next.clear();
-            let agg = level.cache.access_batch_collect(pid, &cur, &mut next);
-            if let Some(out) = sink.as_deref_mut() {
-                out.unified.push(agg);
-            }
-            core::mem::swap(&mut cur, &mut next);
-        }
-        cycles += cur.len() as u64 * self.memory as u64;
-
-        self.scratch_lines = lines;
-        self.scratch_cur = cur;
-        self.scratch_next = next;
-        cycles
-    }
-
-    /// The event-conduit walk: like the fast walk, but each level's
-    /// input is a merged stream of *fills* (the upper level's misses)
-    /// and *writebacks* (dirty evictions from the levels above),
-    /// processed in op order with a writeback of op `i` delivered
-    /// before op `i`'s fill — the exact order the scalar walk's victim
-    /// buffer drains. Optionally fills a per-op [`OpTiming`] vector
-    /// (pre-sized by the caller to `ops.len()`, cycles initialized to
-    /// the L1 hit cost).
+    /// The one batch walk behind every `access_batch*` entry point.
+    /// Each level's input is a merged stream of *fills* (the upper
+    /// level's misses), *writebacks* (dirty evictions from the levels
+    /// above) and *flushes*, processed in op order with a writeback of
+    /// op `i` delivered before op `i`'s fill — the exact order the
+    /// scalar walk's victim buffer drains. Fills the per-level report
+    /// `out` and the per-op `timing` (pre-sized to `ops.len()`, cycles
+    /// initialized to the L1 hit cost) when given, and returns the
+    /// batch's cycle total.
     ///
     /// With a shared-level export (`llc`), the final conduit state
     /// (last-level misses and surviving writebacks) is exported as the
     /// shared-LLC request stream instead of being charged the memory
-    /// penalty, and `sink.mem_writebacks` counts only the flush-forced
+    /// penalty, and `out.mem_writebacks` counts only the flush-forced
     /// drains (ordinary writebacks travel through the exported stream
     /// — the shared level decides their fate).
-    fn batch_walk_events_export(
+    fn batch_walk(
         &mut self,
         pid: ProcessId,
         ops: &[TraceOp],
-        mut sink: Option<&mut HierarchyBatchOutcome>,
+        mut out: Option<&mut HierarchyBatchOutcome>,
         mut timing: Option<&mut Vec<OpTiming>>,
         llc: Option<&mut LlcRequests>,
     ) -> u64 {
         assert!(ops.len() <= u32::MAX as usize, "trace segment too long for 32-bit op indices");
-        let mut lines = core::mem::take(&mut self.scratch_lines);
-        let mut writes = core::mem::take(&mut self.scratch_writes);
-        let mut run_idx = core::mem::take(&mut self.scratch_run_idx);
-        let mut cur = core::mem::take(&mut self.scratch_cur);
-        let mut next = core::mem::take(&mut self.scratch_next);
-        let mut cur_idx = core::mem::take(&mut self.scratch_cur_idx);
-        let mut next_idx = core::mem::take(&mut self.scratch_next_idx);
-        let mut wb_cur = core::mem::take(&mut self.scratch_wb_cur);
-        let mut wb_next = core::mem::take(&mut self.scratch_wb_next);
-        let mut flushes = core::mem::take(&mut self.scratch_flushes);
-        cur.clear();
-        cur_idx.clear();
-        wb_cur.clear();
-        flushes.clear();
+        let mut s = core::mem::take(&mut self.scratch);
+        s.cur.clear();
+        s.flushes.clear();
         // Dirty copies drained by flush ops: forced to memory directly
         // (they bypass the conduit and, in export mode, the shared
         // level).
@@ -1291,9 +1167,10 @@ impl Hierarchy {
         let mut cycles = ops.len() as u64 * self.l1_hit as u64;
 
         // Phase 1: the split L1s in maximal same-port runs, spilling
-        // misses (with op indices) and dirty-eviction writebacks in op
-        // order. Flush ops are run boundaries: they invalidate both
-        // L1s in place and queue a flush event for the lower levels.
+        // misses and dirty-eviction writebacks (tagged with their op
+        // indices) in op order. Flush ops are run boundaries: they
+        // invalidate both L1s in place and queue a flush event for the
+        // lower levels.
         let offset_bits = self.l1i.geometry().offset_bits();
         let mut i = 0usize;
         while i < ops.len() {
@@ -1307,7 +1184,7 @@ impl Hierarchy {
                         events[i].mem_writebacks += dirty as u8;
                     }
                 }
-                flushes.push((i as u32, line));
+                s.flushes.push((i as u32, line));
                 i += 1;
                 continue;
             }
@@ -1319,27 +1196,20 @@ impl Hierarchy {
             {
                 j += 1;
             }
-            lines.clear();
-            lines.extend(ops[i..j].iter().map(|op| op.addr.line(offset_bits)));
-            run_idx.clear();
-            run_idx.extend(i as u32..j as u32);
-            writes.clear();
-            if !fetch {
-                writes.extend(ops[i..j].iter().map(|op| op.kind == AccessKind::Write));
-            }
+            s.lines.clear();
+            s.lines.extend(ops[i..j].iter().map(|op| op.addr.line(offset_bits)));
+            // Write flags only matter where a line can turn dirty.
+            let writes = if !fetch && self.has_writeback {
+                s.writes.clear();
+                s.writes.extend(ops[i..j].iter().map(|op| op.kind == AccessKind::Write));
+                Some(&s.writes[..])
+            } else {
+                None
+            };
             let cache = if fetch { &mut self.l1i } else { &mut self.l1d };
-            let agg = cache.access_batch_io(
-                pid,
-                &lines,
-                BatchIo {
-                    writes: if fetch { None } else { Some(&writes) },
-                    idx: Some(&run_idx),
-                    misses: Some(&mut cur),
-                    miss_idx: Some(&mut cur_idx),
-                    writebacks: Some(&mut wb_cur),
-                },
-            );
-            if let Some(out) = sink.as_deref_mut() {
+            let mut spill = Spill { base: i as u32, idx: None, to: &mut s.cur };
+            let agg = cache.access_batch_into(pid, &s.lines, writes, &mut spill);
+            if let Some(out) = out.as_deref_mut() {
                 if fetch {
                     out.l1i += agg;
                 } else {
@@ -1349,36 +1219,32 @@ impl Hierarchy {
             i = j;
         }
         if let Some(events) = timing.as_deref_mut() {
-            for &i in &cur_idx {
+            for &i in &s.cur.fill_idx {
                 events[i as usize].miss_mask |= 1;
             }
         }
 
-        // Phase 2: thread the merged fill + writeback stream through
-        // the unified levels.
-        for k in 0..self.levels.len() {
-            let level = &mut self.levels[k];
-            cycles += cur.len() as u64 * level.hit_cycles as u64;
+        // Phase 2: thread the merged fill + writeback + flush stream
+        // through the unified levels.
+        for (k, level) in self.levels.iter_mut().enumerate() {
+            let cur = &s.cur;
+            cycles += cur.fills.len() as u64 * level.hit_cycles as u64;
             if let Some(events) = timing.as_deref_mut() {
-                for &i in &cur_idx {
+                for &i in &cur.fill_idx {
                     events[i as usize].cycles += level.hit_cycles;
                 }
             }
-            next.clear();
-            next_idx.clear();
-            wb_next.clear();
+            s.next.clear();
             let mut agg = BatchOutcome::default();
-            let mut w = 0usize;
-            let mut f = 0usize;
-            let mut start = 0usize;
-            while start < cur.len() || w < wb_cur.len() || f < flushes.len() {
-                let wb_idx = wb_cur.get(w).map_or(u32::MAX, |wb| wb.op_idx);
-                let fl_idx = flushes.get(f).map_or(u32::MAX, |&(idx, _)| idx);
-                let fill_idx = cur_idx.get(start).copied().unwrap_or(u32::MAX);
-                if w < wb_cur.len() && wb_idx <= fill_idx && wb_idx < fl_idx {
-                    let wb = wb_cur[w];
+            let (mut w, mut f, mut start) = (0usize, 0usize, 0usize);
+            while start < cur.fills.len() || w < cur.writebacks.len() || f < s.flushes.len() {
+                let wb_idx = cur.writebacks.get(w).map_or(u32::MAX, |wb| wb.op_idx);
+                let fl_idx = s.flushes.get(f).map_or(u32::MAX, |&(idx, _)| idx);
+                let fill_idx = cur.fill_idx.get(start).copied().unwrap_or(u32::MAX);
+                if w < cur.writebacks.len() && wb_idx <= fill_idx && wb_idx < fl_idx {
+                    let wb = cur.writebacks[w];
                     if !level.cache.receive_writeback(wb.owner, wb.line) {
-                        wb_next.push(wb);
+                        s.next.writebacks.push(wb);
                     }
                     w += 1;
                     continue;
@@ -1389,9 +1255,8 @@ impl Hierarchy {
                     // with a fill or a writeback, so no tie rule is
                     // needed). A drained dirty copy is forced to
                     // memory, bypassing the conduit.
-                    let (idx, line) = flushes[f];
-                    let inv = level.cache.invalidate_line(pid, line);
-                    if inv.dirty {
+                    let (idx, line) = s.flushes[f];
+                    if level.cache.invalidate_line(pid, line).dirty {
                         flush_mem += 1;
                         if let Some(events) = timing.as_deref_mut() {
                             events[idx as usize].mem_writebacks += 1;
@@ -1401,74 +1266,49 @@ impl Hierarchy {
                     continue;
                 }
                 // Maximal fill run strictly before the next writeback
-                // or flush.
+                // or flush (op indices ascend, so a binary search cuts
+                // it; with neither pending it is the whole stream).
                 let lim = wb_idx.min(fl_idx);
-                let mut end = start;
-                while end < cur.len() && cur_idx[end] < lim {
-                    end += 1;
-                }
-                agg += level.cache.access_batch_io(
-                    pid,
-                    &cur[start..end],
-                    BatchIo {
-                        writes: None,
-                        idx: Some(&cur_idx[start..end]),
-                        misses: Some(&mut next),
-                        miss_idx: Some(&mut next_idx),
-                        writebacks: Some(&mut wb_next),
-                    },
-                );
+                let end = start + cur.fill_idx[start..].partition_point(|&i| i < lim);
+                let idx = &cur.fill_idx[start..end];
+                let mut spill = Spill { base: 0, idx: Some(idx), to: &mut s.next };
+                agg += level.cache.access_batch_into(pid, &cur.fills[start..end], None, &mut spill);
                 start = end;
             }
             if let Some(events) = timing.as_deref_mut() {
-                for &i in &next_idx {
+                for &i in &s.next.fill_idx {
                     events[i as usize].miss_mask |= 1 << (k + 1);
                 }
             }
-            if let Some(out) = sink.as_deref_mut() {
+            if let Some(out) = out.as_deref_mut() {
                 out.unified.push(agg);
             }
-            core::mem::swap(&mut cur, &mut next);
-            core::mem::swap(&mut cur_idx, &mut next_idx);
-            core::mem::swap(&mut wb_cur, &mut wb_next);
+            core::mem::swap(&mut s.cur, &mut s.next);
         }
         if let Some(requests) = llc {
             // Shared-LLC mode: the conduit's final state *is* the
             // shared level's input — nothing reaches memory here
             // except the flush-forced drains, which bypass the shared
             // level by definition.
-            requests.clear();
-            requests.fills.extend_from_slice(&cur);
-            requests.fill_idx.extend_from_slice(&cur_idx);
-            requests.writebacks.extend_from_slice(&wb_cur);
-            if let Some(out) = sink {
+            core::mem::swap(requests, &mut s.cur);
+            if let Some(out) = out {
                 out.mem_writebacks = flush_mem;
             }
         } else {
-            cycles += cur.len() as u64 * self.memory as u64;
+            cycles += s.cur.fills.len() as u64 * self.memory as u64;
             if let Some(events) = timing {
-                for &i in &cur_idx {
+                for &i in &s.cur.fill_idx {
                     events[i as usize].cycles += self.memory;
                 }
-                for wb in &wb_cur {
+                for wb in &s.cur.writebacks {
                     events[wb.op_idx as usize].mem_writebacks += 1;
                 }
             }
-            if let Some(out) = sink {
-                out.mem_writebacks = wb_cur.len() as u64 + flush_mem;
+            if let Some(out) = out {
+                out.mem_writebacks = s.cur.writebacks.len() as u64 + flush_mem;
             }
         }
-
-        self.scratch_flushes = flushes;
-        self.scratch_lines = lines;
-        self.scratch_writes = writes;
-        self.scratch_run_idx = run_idx;
-        self.scratch_cur = cur;
-        self.scratch_next = next;
-        self.scratch_cur_idx = cur_idx;
-        self.scratch_next_idx = next_idx;
-        self.scratch_wb_cur = wb_cur;
-        self.scratch_wb_next = wb_next;
+        self.scratch = s;
         cycles
     }
 
@@ -1813,22 +1653,31 @@ mod tests {
 
     #[test]
     fn cycles_only_batch_matches_full_outcome() {
-        let ops: Vec<TraceOp> =
+        let reads: Vec<TraceOp> =
             (0..500u64).map(|i| TraceOp::read(Addr::new((i * 607) % (1 << 16)))).collect();
-        let mut full = three_level();
-        let mut cycles_only = three_level();
-        let out = full.access_batch(pid(), &ops);
-        let cycles = cycles_only.access_batch_cycles(pid(), &ops);
-        assert_eq!(cycles, out.cycles);
-        assert_eq!(full.total_stats(), cycles_only.total_stats());
-    }
-
-    #[test]
-    fn batch_outcome_memory_accesses() {
-        let mut h = hierarchy();
-        let ops = [TraceOp::read(Addr::new(0)), TraceOp::read(Addr::new(0))];
-        let out = h.access_batch(pid(), &ops);
-        assert_eq!(out.memory_accesses(), 1);
+        for ops in [reads, flushing_trace(0xc1c1, 900)] {
+            for policy in [WritePolicy::WriteThrough, WritePolicy::WriteBack] {
+                for build in [|| hierarchy(), || three_level()] {
+                    let mut full = build();
+                    let mut cycles_only = build();
+                    full.set_write_policy(policy);
+                    cycles_only.set_write_policy(policy);
+                    let label = format!("{policy:?}/depth {}", full.depth());
+                    let out = full.access_batch(pid(), &ops);
+                    let cycles = cycles_only.access_batch_cycles(pid(), &ops);
+                    assert_eq!(cycles, out.cycles, "{label}");
+                    assert_eq!(full.total_stats(), cycles_only.total_stats(), "{label}");
+                    let levels = |h: &Hierarchy| {
+                        [h.l1i(), h.l1d()]
+                            .into_iter()
+                            .chain(h.unified_levels())
+                            .map(|c| c.contents().collect::<Vec<_>>())
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(levels(&full), levels(&cycles_only), "{label}: contents diverge");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1944,7 +1793,7 @@ mod tests {
                 let expected: Vec<OpTiming> =
                     ops.iter().map(|op| scalar.access_detailed(pid(), op.kind, op.addr)).collect();
                 let mut events = Vec::new();
-                let out = batched.access_batch_timed(pid(), &ops, &mut events);
+                let out = batched.access_batch_timed(pid(), &ops, &mut events, None);
                 assert_eq!(events, expected, "{policy:?}: per-op timing diverges");
                 assert_eq!(
                     out.cycles,
@@ -2026,7 +1875,7 @@ mod tests {
                 }
                 let mut events = Vec::new();
                 let mut llc = LlcRequests::default();
-                let out = batched.access_batch_upper_timed(pid(), &ops, &mut events, &mut llc);
+                let out = batched.access_batch_timed(pid(), &ops, &mut events, Some(&mut llc));
                 assert_eq!(events, scalar_events, "{label}: per-op events diverge");
                 assert_eq!(llc, scalar_llc, "{label}: LLC request streams diverge");
                 assert_eq!(batched.total_stats(), scalar.total_stats(), "{label}");
@@ -2126,7 +1975,7 @@ mod tests {
                 let expected: Vec<OpTiming> =
                     ops.iter().map(|op| scalar.access_detailed(pid(), op.kind, op.addr)).collect();
                 let mut events = Vec::new();
-                let out = batched.access_batch_timed(pid(), &ops, &mut events);
+                let out = batched.access_batch_timed(pid(), &ops, &mut events, None);
                 assert_eq!(events, expected, "{policy:?}: per-op timing diverges on flush ops");
                 assert_eq!(
                     out.cycles,
@@ -2148,9 +1997,8 @@ mod tests {
                         "flush-forced drains unaccounted"
                     );
                 }
-                // The plain (untimed) batch walk routes through the
-                // event conduit when flushes are present and must
-                // agree too.
+                // The plain (untimed) batch entry point runs the same
+                // walk and must agree too.
                 let mut plain = build();
                 plain.set_write_policy(policy);
                 let plain_out = plain.access_batch(pid(), &ops);
@@ -2190,7 +2038,7 @@ mod tests {
                 }
                 let mut events = Vec::new();
                 let mut llc = LlcRequests::default();
-                batched.access_batch_upper_timed(pid(), &ops, &mut events, &mut llc);
+                batched.access_batch_timed(pid(), &ops, &mut events, Some(&mut llc));
                 assert_eq!(events, scalar_events, "{label}: per-op events diverge");
                 assert_eq!(llc, scalar_llc, "{label}: LLC request streams diverge");
                 assert_eq!(batched.total_stats(), scalar.total_stats(), "{label}");

@@ -36,8 +36,8 @@
 //! # Batched and reference walks
 //!
 //! [`execute`] pre-walks each participant's private levels through the
-//! hierarchy batch path ([`Hierarchy::access_batch_timed`], or
-//! [`Hierarchy::access_batch_upper_timed`] in front of a shared LLC) —
+//! hierarchy batch path ([`Hierarchy::access_batch_timed`], exporting
+//! the shared-level requests in front of a shared LLC) —
 //! a finite core's whole trace at once, a co-runner's trace in chunks
 //! of `CO_CHUNK` (128) ops — and merges the recorded per-op outcomes.
 //! [`execute_reference`] runs the same loop but walks every op through
@@ -455,11 +455,9 @@ impl Cursor {
         self.wb_pos = 0;
         self.requests.clear();
         match (walk, self.shared) {
-            (Walk::Batched, true) => {
-                h.access_batch_upper_timed(pid, chunk, &mut self.events, &mut self.requests);
-            }
-            (Walk::Batched, false) => {
-                h.access_batch_timed(pid, chunk, &mut self.events);
+            (Walk::Batched, shared) => {
+                let llc = shared.then_some(&mut self.requests);
+                h.access_batch_timed(pid, chunk, &mut self.events, llc);
             }
             (Walk::PerOp, shared) => {
                 self.events.clear();
@@ -630,7 +628,7 @@ fn run(
         let line = p.op.addr.line(offsets[c]);
         let (mut t, victim) = match llc.as_deref_mut() {
             Some(llc) => {
-                let (r, victim) = llc.resolve_evict(pid, p.fill, p.wbs);
+                let (r, victim) = llc.resolve(pid, p.fill, p.wbs);
                 (compose_llc(p.t, r, merger.depths[c] - 1), victim)
             }
             None => (p.t, None),

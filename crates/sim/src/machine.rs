@@ -451,7 +451,7 @@ impl Machine {
         self.wb_scratch.clear();
         let up =
             self.hierarchy.access_upper_detailed(self.pid, kind, addr, 0, &mut self.wb_scratch);
-        let (r, victim) = llc.resolve_evict(self.pid, up.fill, &self.wb_scratch);
+        let (r, victim) = llc.resolve(self.pid, up.fill, &self.wb_scratch);
         let line = addr.line(self.hierarchy.l1i().geometry().offset_bits());
         let mut runs = [CoreRun { hierarchy: &mut self.hierarchy, pid: self.pid, ops: &[] }];
         let mut cores = Cores { runs: &mut runs, co: &mut self.co_runners };
@@ -544,10 +544,15 @@ impl Machine {
     /// service cycles (booked in
     /// [`contention_cycles`](Self::contention_cycles)).
     ///
-    /// When event tracing is enabled the trace runs through the scalar
-    /// path instead, so per-op costs can be recorded; outcomes are
-    /// identical either way. With tracing disabled no per-op
-    /// bookkeeping (or allocation) happens at all.
+    /// When event tracing is enabled the trace runs op by op through
+    /// the scalar ops instead, so per-op costs can be recorded. On a
+    /// solo private machine the outcomes are identical either way. On
+    /// a contended machine they are not: trace mode runs solo, so the
+    /// co-runners do not advance and nothing arbitrates for the bus,
+    /// and cycles and cache state differ from untraced replay. A
+    /// [telemetry recorder](Self::set_recorder) observes without
+    /// changing results. With tracing disabled no per-op bookkeeping
+    /// (or allocation) happens at all.
     ///
     /// # Examples
     ///
@@ -599,7 +604,8 @@ impl Machine {
             // per-op timings from the very same engine, so totals and
             // cache state cannot diverge from the untimed path.
             let depth = self.hierarchy.depth();
-            let out = self.hierarchy.access_batch_timed(self.pid, ops, &mut self.timing_scratch);
+            let out =
+                self.hierarchy.access_batch_timed(self.pid, ops, &mut self.timing_scratch, None);
             let mut ts = self.cycles;
             let mut r = rec.borrow_mut();
             for t in &self.timing_scratch {
