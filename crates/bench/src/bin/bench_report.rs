@@ -6,7 +6,9 @@
 //!
 //! * cache accesses/sec — boxed-dispatch baseline vs enum-dispatch
 //!   scalar vs the batch API, measured **in the same run** on the same
-//!   recorded trace (the dispatch-overhaul speedup);
+//!   recorded trace (the dispatch-overhaul speedup), and the batch API
+//!   reseeded before every pass (`*/reseeded`: memo-cold, so Random
+//!   Modulo's permutation network runs for every distinct line);
 //! * hierarchy accesses/sec — the scalar `Hierarchy::access` loop vs
 //!   `Hierarchy::access_batch` on an L2-heavy trace, on two- and
 //!   three-level setups (the PR-2 batch-path speedup);
@@ -163,6 +165,8 @@ fn main() {
     let speedup_batch_modulo = rate("cache/modulo/batch") / rate("cache/modulo/boxed");
     let speedup_enum_rm = rate("cache/random-modulo/enum") / rate("cache/random-modulo/boxed");
     let speedup_batch_rm = rate("cache/random-modulo/batch") / rate("cache/random-modulo/boxed");
+    let reseeded_rm_vs_modulo =
+        rate("cache/random-modulo/reseeded") / rate("cache/modulo/reseeded");
     let hier_det_l2 = rate("hier/deterministic-l2/batch") / rate("hier/deterministic-l2/scalar");
     let hier_det_l3 = rate("hier/deterministic-l3/batch") / rate("hier/deterministic-l3/scalar");
     let hier_ts_l2 = rate("hier/tscache-l2/batch") / rate("hier/tscache-l2/scalar");
@@ -198,6 +202,7 @@ fn main() {
         ("speedup_batch_vs_boxed_modulo", speedup_batch_modulo),
         ("speedup_enum_vs_boxed_random_modulo", speedup_enum_rm),
         ("speedup_batch_vs_boxed_random_modulo", speedup_batch_rm),
+        ("throughput_ratio_reseeded_random_modulo_vs_modulo", reseeded_rm_vs_modulo),
         ("speedup_hier_batch_deterministic_l2", hier_det_l2),
         ("speedup_hier_batch_deterministic_l3", hier_det_l3),
         ("speedup_hier_batch_tscache_l2", hier_ts_l2),
@@ -225,6 +230,7 @@ fn main() {
     println!("speedup vs boxed baseline (same run):");
     println!("  modulo:        enum {speedup_enum_modulo:.2}x, batch {speedup_batch_modulo:.2}x");
     println!("  random-modulo: enum {speedup_enum_rm:.2}x, batch {speedup_batch_rm:.2}x");
+    println!("  memo-cold (reseeded) random-modulo vs modulo: {reseeded_rm_vs_modulo:.2}x");
     println!("hierarchy batch vs scalar walk (same run, L2-heavy trace):");
     println!("  deterministic: l2 {hier_det_l2:.2}x, l3 {hier_det_l3:.2}x");
     println!("  tscache:       l2 {hier_ts_l2:.2}x, l3 {hier_ts_l3:.2}x");

@@ -11,6 +11,7 @@ use tscache_core::cache::Cache;
 use tscache_core::geometry::CacheGeometry;
 use tscache_core::hierarchy::TraceOp;
 use tscache_core::placement::PlacementKind;
+use tscache_core::prng::mix64;
 use tscache_core::replacement::ReplacementKind;
 use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
@@ -27,12 +28,14 @@ pub fn dispatch_trace() -> Vec<LineAddr> {
 /// The dispatch-overhaul comparison, measured in one run: the boxed
 /// seed implementation, the enum-dispatch scalar path, and the batch
 /// API, on the same recorded trace, for `placement` with random
-/// replacement.
+/// replacement — plus the batch API reseeded before every pass, so
+/// each distinct line misses the placement memo and the placement
+/// function itself runs (what a reseed-per-run MBPTA campaign pays).
 pub fn cache_dispatch_suite(placement: PlacementKind, min_ms: u64) -> Vec<Measurement> {
     let pid = ProcessId::new(1);
     let geom = CacheGeometry::paper_l1();
     let lines = dispatch_trace();
-    let mut results = Vec::with_capacity(3);
+    let mut results = Vec::with_capacity(4);
 
     let mut boxed = BoxedCache::new(geom, placement, ReplacementKind::Random, 7);
     boxed.set_seed(pid, Seed::new(42));
@@ -56,6 +59,15 @@ pub fn cache_dispatch_suite(placement: PlacementKind, min_ms: u64) -> Vec<Measur
     batched.set_seed(pid, Seed::new(42));
     results.push(bench(format!("cache/{placement}/batch"), "accesses", min_ms, || {
         black_box(batched.access_batch(pid, black_box(&lines)));
+        lines.len() as u64
+    }));
+
+    let mut reseeded = Cache::new("b", geom, placement, ReplacementKind::Random, 7);
+    let mut pass = 0u64;
+    results.push(bench(format!("cache/{placement}/reseeded"), "accesses", min_ms, || {
+        pass += 1;
+        reseeded.set_seed(pid, Seed::new(mix64(pass)));
+        black_box(reseeded.access_batch(pid, black_box(&lines)));
         lines.len() as u64
     }));
 
@@ -660,10 +672,18 @@ mod tests {
     }
 
     #[test]
-    fn suite_reports_three_dispatch_variants() {
+    fn suite_reports_dispatch_variants_and_reseeded_row() {
         let results = cache_dispatch_suite(PlacementKind::Modulo, 1);
         let names: Vec<&str> = results.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(names, ["cache/modulo/boxed", "cache/modulo/enum", "cache/modulo/batch"]);
+        assert_eq!(
+            names,
+            [
+                "cache/modulo/boxed",
+                "cache/modulo/enum",
+                "cache/modulo/batch",
+                "cache/modulo/reseeded"
+            ]
+        );
         assert!(results.iter().all(|m| m.per_sec() > 0.0));
     }
 }

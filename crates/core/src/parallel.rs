@@ -27,9 +27,11 @@
 //! Worker panics are **isolated**: a panicking index can no longer
 //! poison the fan-out. [`try_par_map_indexed`] and [`try_join`] surface
 //! the first panic (lowest index) as a typed [`WorkerPanic`]; the
-//! panicking variants re-raise it with a clean message. Remaining
-//! workers drain quickly via a stop flag instead of running the loop to
-//! completion.
+//! panicking variants re-raise it with a clean message. After a panic,
+//! workers skip every index above the lowest panicking index seen so
+//! far instead of running the loop to completion; lower indices still
+//! run, so the reported index is the lowest one that panics under any
+//! scheduling.
 //!
 //! The thread count honours `RAYON_NUM_THREADS` (the convention users
 //! of rayon-based tools expect) and `TSCACHE_THREADS`, falling back to
@@ -41,7 +43,7 @@ use std::error::Error;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
@@ -108,9 +110,10 @@ fn run_isolated<T, F: Fn(usize) -> T>(f: &F, i: usize) -> Result<T, WorkerPanic>
         .map_err(|p| WorkerPanic { index: i, message: payload_message(p.as_ref()) })
 }
 
-/// Records the panic with the lowest index (deterministic winner).
-fn record_panic(slot: &Mutex<Option<WorkerPanic>>, stop: &AtomicBool, e: WorkerPanic) {
-    stop.store(true, Ordering::Relaxed);
+/// Records the panic with the lowest index (deterministic winner) and
+/// lowers the skip bound `lowest` to its index.
+fn record_panic(slot: &Mutex<Option<WorkerPanic>>, lowest: &AtomicUsize, e: WorkerPanic) {
+    lowest.fetch_min(e.index, Ordering::Relaxed);
     let mut guard = slot.lock().unwrap();
     match &*guard {
         Some(prev) if prev.index <= e.index => {}
@@ -246,7 +249,12 @@ where
         .map(|t| RangeQueue::new((t * chunk).min(n), ((t + 1) * chunk).min(n)))
         .collect();
     let grain = (chunk / 8).clamp(1, 1024);
-    let stop = AtomicBool::new(false);
+    // The lowest panicking index so far (`usize::MAX`: none). Indices
+    // above it cannot change the reported panic, so workers skip them.
+    // `Relaxed` suffices: the bound publishes no other data (the panic
+    // itself goes through `panic_slot`'s mutex), it only decreases, and
+    // a stale load only runs an index that could have been skipped.
+    let lowest = AtomicUsize::new(usize::MAX);
     let panic_slot: Mutex<Option<WorkerPanic>> = Mutex::new(None);
 
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -255,27 +263,29 @@ where
             .map(|t| {
                 let f = &f;
                 let queues = &queues;
-                let stop = &stop;
+                let lowest = &lowest;
                 let panic_slot = &panic_slot;
                 scope.spawn(move || {
                     let mut local: Vec<(usize, T)> = Vec::new();
-                    'work: while !stop.load(Ordering::Relaxed) {
+                    loop {
                         let block = match queues[t].pop_front(grain) {
                             Some(b) => b,
                             None => match steal(queues, t) {
                                 Some(b) => b,
-                                None => break 'work,
+                                None => break,
                             },
                         };
+                        // A block's indices ascend: once one is above
+                        // the lowest panic, the rest are too.
                         for i in block.0..block.1 {
-                            if stop.load(Ordering::Relaxed) {
-                                break 'work;
+                            if i > lowest.load(Ordering::Relaxed) {
+                                break;
                             }
                             match run_isolated(f, i) {
                                 Ok(v) => local.push((i, v)),
                                 Err(e) => {
-                                    record_panic(panic_slot, stop, e);
-                                    break 'work;
+                                    record_panic(panic_slot, lowest, e);
+                                    break;
                                 }
                             }
                         }
@@ -298,7 +308,7 @@ where
             // that is caught inside): still a typed error.
             Err(p) => record_panic(
                 &panic_slot,
-                &stop,
+                &lowest,
                 WorkerPanic { index: usize::MAX, message: payload_message(p.as_ref()) },
             ),
         }
@@ -454,9 +464,13 @@ mod tests {
     #[test]
     fn lowest_panicking_index_wins() {
         // Every index panics; the reported index must be 0 regardless
-        // of scheduling (the deterministic-winner rule).
-        let err = try_par_map_indexed(32, |i| -> usize { panic!("fault {i}") }).unwrap_err();
-        assert_eq!(err.index, 0);
+        // of scheduling (the deterministic-winner rule). Repeated: a
+        // worker that panics first on a higher range must not keep
+        // index 0 from running, whichever interleaving occurs.
+        for _ in 0..200 {
+            let err = try_par_map_indexed(32, |i| -> usize { panic!("fault {i}") }).unwrap_err();
+            assert_eq!(err.index, 0);
+        }
     }
 
     #[test]

@@ -132,6 +132,12 @@ pub trait Placement: fmt::Debug + Send {
 /// inlinable policy bodies instead of a virtual call through
 /// `Box<dyn Placement>`. The boxed form stays available through
 /// [`PlacementKind::build`] for extension and differential testing.
+///
+/// The Random Modulo variant carries its ~640 B per-page permutation
+/// table inline: an engine is built once per cache and lives in it, so
+/// the size costs one move at construction, while boxing the table
+/// would add a pointer chase to every memo-missing placement.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum PlacementEngine {
     /// Conventional modulo indexing.

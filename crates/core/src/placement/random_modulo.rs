@@ -7,6 +7,17 @@ use crate::placement::{MbptaClass, PermutationNetwork, Placement};
 use crate::prng::mix64;
 use crate::seed::Seed;
 
+/// Slots in the per-page permutation table (a power of two).
+const PERM_SLOTS: usize = 16;
+
+/// One per-page table slot: the network's bit permutation under
+/// `control`.
+#[derive(Debug, Clone, Copy)]
+struct PermSlot {
+    control: u64,
+    perm: [u8; 32],
+}
+
 /// Random Modulo (RM): the index bits, XORed with seed bits, enter a
 /// Benes-style permutation network driven by the (seed-XORed) tag bits
 /// (paper Fig. 2b).
@@ -35,11 +46,19 @@ use crate::seed::Seed;
 /// // Lines 0 and 1 are in the same page: they can never collide.
 /// assert_ne!(p.place(LineAddr::new(0), seed), p.place(LineAddr::new(1), seed));
 /// ```
+///
+/// Every line of one page under one seed shares a control word, so
+/// the network is derived once per (page, seed) into a direct-mapped
+/// table of bit permutations, keyed by the control word, and each
+/// line is placed by gathering its index bits through it. The table
+/// is a pure cache of the network's switch settings: placements are
+/// exactly [`PermutationNetwork::apply`]'s.
 #[derive(Debug, Clone)]
 pub struct RandomModulo {
     index_bits: u32,
     sets: u32,
     network: PermutationNetwork,
+    perms: [PermSlot; PERM_SLOTS],
 }
 
 impl RandomModulo {
@@ -49,6 +68,9 @@ impl RandomModulo {
             index_bits: geom.index_bits(),
             sets: geom.sets(),
             network: PermutationNetwork::new(geom.index_bits()),
+            // Slot `i` starts keyed `!i`, which indexes slot `15 - i`:
+            // no control word matches a slot before it is filled.
+            perms: core::array::from_fn(|i| PermSlot { control: !(i as u64), perm: [0; 32] }),
         }
     }
 }
@@ -68,7 +90,11 @@ impl Placement for RandomModulo {
         // expanded into switch controls.
         let tag = line.tag_bits(self.index_bits);
         let control = mix64(tag ^ s.rotate_left(32));
-        self.network.apply(data, control)
+        let slot = &mut self.perms[control as usize % PERM_SLOTS];
+        if slot.control != control {
+            *slot = PermSlot { control, perm: self.network.bit_perm(control) };
+        }
+        self.network.gather(data, &slot.perm)
     }
 
     fn name(&self) -> &'static str {
@@ -154,6 +180,40 @@ mod tests {
             })
             .sum();
         assert!(chi2 < 250.0, "chi2 = {chi2}"); // 127 dof, q(0.999) ≈ 181
+    }
+
+    #[test]
+    fn place_matches_the_network_across_colliding_pages() {
+        use crate::placement::benes::apply_ref;
+        // 40 pages whose control words share 4 of the 16 table slots,
+        // visited line by line in interleaved order, under two seeds:
+        // every placement must be the swap walk's, however often the
+        // pages evict each other's permutations.
+        let geom = CacheGeometry::paper_l1();
+        let k = geom.index_bits();
+        let mut p = RandomModulo::new(&geom);
+        for seed in [Seed::new(0x1d_2018), Seed::ZERO] {
+            let s = seed.as_u64();
+            let control = |page: u64| mix64(page ^ s.rotate_left(32));
+            let slot = |page: u64| control(page) as usize % PERM_SLOTS;
+            let pages: Vec<u64> = (0..).filter(|&page| slot(page) < 4).take(40).collect();
+            let mut per_slot = [0; PERM_SLOTS];
+            for &page in &pages {
+                per_slot[slot(page)] += 1;
+            }
+            assert!(per_slot[..4].iter().all(|&n| n >= 2), "slots not shared: {per_slot:?}");
+            for round in 0..3u64 {
+                for i in 0..geom.sets() as u64 {
+                    for (n, &page) in pages.iter().enumerate() {
+                        let index = (i * 37 + n as u64 + round) % geom.sets() as u64;
+                        let line = LineAddr::new((page << k) | index);
+                        let data = ((index ^ s) & (geom.sets() as u64 - 1)) as u32;
+                        let want = apply_ref(k, data, control(page));
+                        assert_eq!(p.place(line, seed), want, "page {page:#x} index {index}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
