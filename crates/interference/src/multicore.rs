@@ -284,22 +284,7 @@ impl Merger {
         let depth = self.depths[core];
         let ts0 = self.clocks[core];
         if let Some(rec) = &self.recorder {
-            // The per-level walk view: level l was consulted iff every
-            // lower level missed; the walk stops at the first hit.
-            let mut r = rec.borrow_mut();
-            for level in 0..depth {
-                let miss = t.miss_mask >> level & 1 == 1;
-                r.record(
-                    ts0,
-                    Event::LevelAccess { core: core as u8, level: level as u8, hit: !miss },
-                );
-                if !miss {
-                    break;
-                }
-            }
-            if t.mem_writebacks > 0 {
-                r.record(ts0, Event::Writeback { core: core as u8, count: t.mem_writebacks });
-            }
+            rec.borrow_mut().record_walk(ts0, core as u8, depth, t.miss_mask, t.mem_writebacks);
         }
         let report = &mut self.reports[core];
         let mut stall = 0u64;

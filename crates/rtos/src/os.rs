@@ -164,9 +164,6 @@ pub struct TscacheOs {
     config: OsConfig,
     workloads: Vec<RunnableWorkload>,
     rng: SplitMix64,
-    /// Optional telemetry recorder (see
-    /// [`attach_recorder`](Self::attach_recorder)); observer-only.
-    recorder: Option<RecorderHandle>,
 }
 
 /// Per-runnable synthetic working set, pre-assembled as a memory trace
@@ -289,19 +286,17 @@ impl TscacheOs {
             config,
             workloads,
             rng: SplitMix64::new(config.rng_seed),
-            recorder: None,
         })
     }
 
     /// Attaches a telemetry recorder to the campaign: schedule slices,
     /// detector windows and OS flush boundaries are emitted alongside
-    /// the machine's own cache/bus events (the same handle is shared
-    /// with the machine, so everything lands in one timeline). The
+    /// the machine's own cache/bus events (the OS emits through the
+    /// machine's handle, so everything lands in one timeline). The
     /// recorder is strictly an observer — campaign reports are
     /// bit-identical with and without one.
     pub fn attach_recorder(&mut self, recorder: RecorderHandle) {
-        self.machine.set_recorder(recorder.clone());
-        self.recorder = Some(recorder);
+        self.machine.set_recorder(recorder);
     }
 
     /// The static schedule.
@@ -403,7 +398,7 @@ impl TscacheOs {
             self.reseed_all(&mut report);
             self.machine.flush_caches();
             report.flushes += 1;
-            if let Some(rec) = &self.recorder {
+            if let Some(rec) = self.machine.recorder() {
                 rec.borrow_mut().record(t0, Event::CacheFlush { scope: FlushScope::Hyperperiod });
             }
             report.overhead_cycles += delta_u64(self.machine.cycles(), t0);
@@ -443,7 +438,7 @@ impl TscacheOs {
                         llc.flush_process(swc.process_id());
                     }
                     report.flushes += 1;
-                    if let Some(rec) = &self.recorder {
+                    if let Some(rec) = self.machine.recorder() {
                         rec.borrow_mut().record(
                             self.machine.cycles(),
                             Event::CacheFlush { scope: FlushScope::ProcessSwitch },
@@ -458,7 +453,7 @@ impl TscacheOs {
                 let cycles = self.run_job(job.runnable);
                 report.work_cycles += cycles;
                 report.times[job.runnable].push(cycles);
-                if let Some(rec) = &self.recorder {
+                if let Some(rec) = self.machine.recorder() {
                     rec.borrow_mut().record(
                         t_job,
                         Event::ScheduleSlice { runnable: job.runnable as u16, swc: swc.0, cycles },
@@ -469,7 +464,7 @@ impl TscacheOs {
                         let delta = sampler.cut(self.pmu_snapshot());
                         let scored_before = detector.report().windows;
                         let fired = detector.ingest(&delta).is_some();
-                        if let Some(rec) = &self.recorder {
+                        if let Some(rec) = self.machine.recorder() {
                             let rep = detector.report();
                             // Masked windows score nothing — no event.
                             if rep.windows > scored_before {

@@ -25,17 +25,6 @@ use tscache_telemetry::{Event, RecorderHandle};
 /// the batch path executes it).
 pub use tscache_core::hierarchy::TraceOp;
 
-/// One recorded memory event (when tracing is enabled).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Which port the access used.
-    pub kind: AccessKind,
-    /// The byte address accessed.
-    pub addr: Addr,
-    /// Cycle cost charged for the access.
-    pub cost: u32,
-}
-
 /// An execution-driven machine.
 ///
 /// # Examples
@@ -60,7 +49,7 @@ pub struct Machine {
     pipeline: PipelineModel,
     pid: ProcessId,
     cycles: u64,
-    trace: Option<Vec<TraceEvent>>,
+    trace: Option<Vec<TraceOp>>,
     instret: u64,
     /// Enemy cores contending for the shared bus (empty = solo).
     co_runners: Vec<CoRunner>,
@@ -113,16 +102,10 @@ impl Machine {
     /// an observer — cache state, cycle totals and statistics are
     /// bit-identical with and without one attached (the multicore
     /// merge loop threads it through as a side channel; the solo
-    /// batch path switches to its timed twin, which the differential
-    /// suites pin to the untimed walk).
+    /// batch walk runs its timed form, which yields per-op timings
+    /// from the same walk).
     pub fn set_recorder(&mut self, recorder: RecorderHandle) {
         self.recorder = Some(recorder);
-    }
-
-    /// Detaches the telemetry recorder, returning the machine to the
-    /// bookkeeping-free hot path.
-    pub fn clear_recorder(&mut self) {
-        self.recorder = None;
     }
 
     /// The attached telemetry recorder, if any.
@@ -160,11 +143,6 @@ impl Machine {
     /// (e.g. the three-level presets with an L3).
     pub fn from_setup_depth(setup: SetupKind, depth: HierarchyDepth, rng_seed: u64) -> Self {
         Machine::new(setup.build_depth(depth, rng_seed))
-    }
-
-    /// Replaces the pipeline cost model.
-    pub fn set_pipeline(&mut self, pipeline: PipelineModel) {
-        self.pipeline = pipeline;
     }
 
     /// The pipeline cost model.
@@ -211,14 +189,6 @@ impl Machine {
         if let Some(llc) = self.shared_llc.as_mut() {
             llc.apply_defense(defense);
         }
-    }
-
-    /// Installs a shared last-level cache behind the (private)
-    /// hierarchy; from then on every access resolves its last level
-    /// against it. Prefer [`from_setup_shared`](Self::from_setup_shared)
-    /// unless you need a custom LLC.
-    pub fn set_shared_llc(&mut self, llc: SharedLlc) {
-        self.shared_llc = Some(llc);
     }
 
     /// The shared last level, when this machine runs on one.
@@ -419,20 +389,25 @@ impl Machine {
         self.contention_cycles
     }
 
-    /// Starts recording memory events.
+    /// Starts recording the memory operations this machine issues:
+    /// every scalar op and every op of a [`run_trace`](Self::run_trace)
+    /// segment, in issue order. Recording only observes — cycles,
+    /// contention and cache state are the same as with it off.
     pub fn enable_trace(&mut self) {
         self.trace = Some(Vec::new());
     }
 
-    /// Stops recording and returns the events captured so far.
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
+    /// Stops recording and returns the operations issued since
+    /// [`enable_trace`](Self::enable_trace) (empty when it was off).
+    /// Per-op costs live in the [telemetry recorder](Self::set_recorder).
+    pub fn take_trace(&mut self) -> Vec<TraceOp> {
         self.trace.take().unwrap_or_default()
     }
 
     #[inline]
-    fn record(&mut self, kind: AccessKind, addr: Addr, cost: u32) {
+    fn record(&mut self, kind: AccessKind, addr: Addr) {
         if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent { kind, addr, cost });
+            trace.push(TraceOp { kind, addr });
         }
     }
 
@@ -466,7 +441,7 @@ impl Machine {
     pub fn flush_line(&mut self, addr: Addr) -> u32 {
         let cost = self.hier_access(AccessKind::Flush, addr);
         self.cycles += cost as u64;
-        self.record(AccessKind::Flush, addr, cost);
+        self.record(AccessKind::Flush, addr);
         cost
     }
 
@@ -475,7 +450,7 @@ impl Machine {
     pub fn load(&mut self, addr: Addr) -> u32 {
         let cost = self.hier_access(AccessKind::Read, addr);
         self.cycles += cost as u64;
-        self.record(AccessKind::Read, addr, cost);
+        self.record(AccessKind::Read, addr);
         cost
     }
 
@@ -493,7 +468,7 @@ impl Machine {
     pub fn store(&mut self, addr: Addr) -> u32 {
         let cost = self.hier_access(AccessKind::Write, addr);
         self.cycles += cost as u64;
-        self.record(AccessKind::Write, addr, cost);
+        self.record(AccessKind::Write, addr);
         cost
     }
 
@@ -544,14 +519,11 @@ impl Machine {
     /// service cycles (booked in
     /// [`contention_cycles`](Self::contention_cycles)).
     ///
-    /// When event tracing is enabled the trace runs op by op through
-    /// the scalar ops instead, so per-op costs can be recorded. On a
-    /// solo private machine the outcomes are identical either way. On
-    /// a contended machine they are not: trace mode runs solo, so the
-    /// co-runners do not advance and nothing arbitrates for the bus,
-    /// and cycles and cache state differ from untraced replay. A
-    /// [telemetry recorder](Self::set_recorder) observes without
-    /// changing results. With tracing disabled no per-op bookkeeping
+    /// With [`enable_trace`](Self::enable_trace) on, the segment's ops
+    /// are appended to the op trace and then replayed exactly as
+    /// without it, contention included. A [telemetry
+    /// recorder](Self::set_recorder) likewise observes without
+    /// changing results. With neither attached no per-op bookkeeping
     /// (or allocation) happens at all.
     ///
     /// # Examples
@@ -567,17 +539,8 @@ impl Machine {
     /// assert_eq!(cycles, 91 + 1); // cold miss then warm hit
     /// ```
     pub fn run_trace(&mut self, ops: &[TraceOp]) -> u64 {
-        if self.trace.is_some() {
-            // Scalar fallback: per-op costs are observable only here.
-            // Event tracing is a debugging view, so it runs solo even
-            // on a contended machine.
-            let before = self.cycles;
-            for op in ops {
-                let cost = self.hier_access(op.kind, op.addr);
-                self.cycles += cost as u64;
-                self.record(op.kind, op.addr, cost);
-            }
-            return self.cycles - before;
+        if let Some(trace) = &mut self.trace {
+            trace.extend_from_slice(ops);
         }
         if self.shared_llc.is_some() || self.is_contended() {
             // The multicore engine, with this machine as its one finite
@@ -609,16 +572,7 @@ impl Machine {
             let mut ts = self.cycles;
             let mut r = rec.borrow_mut();
             for t in &self.timing_scratch {
-                for level in 0..depth {
-                    let miss = t.miss_mask >> level & 1 == 1;
-                    r.record(ts, Event::LevelAccess { core: 0, level: level as u8, hit: !miss });
-                    if !miss {
-                        break;
-                    }
-                }
-                if t.mem_writebacks > 0 {
-                    r.record(ts, Event::Writeback { core: 0, count: t.mem_writebacks });
-                }
+                r.record_walk(ts, 0, depth, t.miss_mask, t.mem_writebacks);
                 r.record(ts, Event::Op { core: 0, cycles: t.cycles, miss_mask: t.miss_mask });
                 ts += t.cycles as u64;
             }
@@ -661,7 +615,7 @@ impl Machine {
         while line_base < end {
             let cost = self.hier_access(AccessKind::Fetch, Addr::new(line_base));
             self.cycles += cost as u64;
-            self.record(AccessKind::Fetch, Addr::new(line_base), cost);
+            self.record(AccessKind::Fetch, Addr::new(line_base));
             line_base += line_bytes;
         }
         self.execute(instrs);
@@ -750,7 +704,6 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t[0].kind, AccessKind::Read);
         assert_eq!(t[1].kind, AccessKind::Write);
-        assert!(t[0].cost >= 1);
         // Tracing stopped after take_trace.
         m.load(Addr::new(0x300));
         assert!(m.take_trace().is_empty());
@@ -821,30 +774,27 @@ mod tests {
     }
 
     #[test]
-    fn run_trace_records_nothing_when_tracing_disabled() {
-        let mut m = machine();
-        m.run_trace(&[TraceOp::read(Addr::new(0x100)), TraceOp::write(Addr::new(0x200))]);
-        assert!(m.take_trace().is_empty(), "events recorded with tracing off");
-        // And the traced path charges the same cycles as the batch path.
-        let ops: Vec<TraceOp> = (0..200u64).map(|i| TraceOp::read(Addr::new(i * 96))).collect();
+    fn run_trace_records_its_ops_only_when_tracing() {
+        let ops: Vec<TraceOp> = (0..200u64)
+            .map(|i| {
+                let addr = Addr::new(i * 96);
+                if i % 2 == 0 {
+                    TraceOp::read(addr)
+                } else {
+                    TraceOp::write(addr)
+                }
+            })
+            .collect();
         let mut fast = machine();
+        let a = fast.run_trace(&ops);
+        assert!(fast.take_trace().is_empty(), "ops recorded with tracing off");
+        // The traced replay charges the same cycles and records the
+        // issued ops in order.
         let mut traced = machine();
         traced.enable_trace();
-        let a = fast.run_trace(&ops);
         let b = traced.run_trace(&ops);
         assert_eq!(a, b);
-        assert_eq!(traced.take_trace().len(), ops.len());
-    }
-
-    #[test]
-    fn run_trace_records_events_when_tracing() {
-        let mut m = machine();
-        m.enable_trace();
-        m.run_trace(&[TraceOp::read(Addr::new(0x100)), TraceOp::write(Addr::new(0x200))]);
-        let t = m.take_trace();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].kind, AccessKind::Read);
-        assert_eq!(t[1].kind, AccessKind::Write);
+        assert_eq!(traced.take_trace(), ops);
     }
 
     #[test]

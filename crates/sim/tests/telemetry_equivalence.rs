@@ -1,16 +1,20 @@
-//! Property tests for the telemetry recorder's observer-only
-//! contract: attaching a [`TraceRecorder`] to any measurement
-//! configuration — placement policy × hierarchy depth × contention ×
-//! platform sharing — changes no simulation outcome, and the recorded
-//! stream itself is deterministic. Plus a golden fixture pinning the
-//! Chrome trace JSON and curve digests for one fixed seed, so exporter
-//! format drift is a deliberate, reviewed change.
+//! Property tests for the observer-only contract of both tracing
+//! surfaces: attaching a [`TraceRecorder`] or enabling the machine's op
+//! trace in any measurement configuration — placement policy ×
+//! hierarchy depth × contention × platform sharing — changes no
+//! simulation outcome, and the recorded stream itself is
+//! deterministic. Plus a golden fixture pinning the Chrome trace JSON
+//! and curve digests for one fixed seed, so exporter format drift is a
+//! deliberate, reviewed change.
 
 use proptest::prelude::*;
+use tscache_core::addr::Addr;
+use tscache_core::seed::{ProcessId, Seed};
 use tscache_core::setup::{HierarchyDepth, SetupKind};
 use tscache_interference::ContentionConfig;
 use tscache_sim::layout::Layout;
-use tscache_sim::synthetic::{ArraySweep, PointerChase};
+use tscache_sim::machine::{Machine, TraceOp};
+use tscache_sim::synthetic::{ArraySweep, FirFilter, PointerChase};
 use tscache_sim::workload::{collect_execution_times_with, MeasurementProtocol, Workload};
 use tscache_telemetry::digest::fnv64;
 use tscache_telemetry::{chrome_trace, exceedance_csv, handle, hist_csv};
@@ -82,6 +86,70 @@ proptest! {
             first.merged_histogram().to_sparse(),
             second.merged_histogram().to_sparse()
         );
+    }
+
+    /// The machine's op trace only observes: replaying a FIR segment,
+    /// two scalar ops and the segment again with it on and off yields
+    /// the same cycles, contention, private and shared-LLC statistics
+    /// across all four setups, both depths, solo/contended and
+    /// private/shared-LLC platforms — and the trace is exactly the
+    /// issued ops, in order.
+    #[test]
+    fn op_trace_is_observer_only_across_the_lattice(
+        setup_idx in 0u8..4,
+        three_level in prop::bool::ANY,
+        contended in prop::bool::ANY,
+        shared in prop::bool::ANY,
+        seed in 1u64..1_000_000,
+    ) {
+        let kind = setup(setup_idx);
+        let depth = if three_level { HierarchyDepth::ThreeLevel } else { HierarchyDepth::TwoLevel };
+        let con = ContentionConfig::default();
+        let build = || {
+            let mut m = if shared {
+                Machine::from_setup_shared(kind, depth, con.system, seed)
+            } else {
+                Machine::from_setup_depth(kind, depth, seed)
+            };
+            m.set_process_seed(ProcessId::new(1), Seed::new(seed ^ 0x5eed));
+            if contended {
+                m.attach_standard_enemies(kind, depth, &con, seed);
+            }
+            m
+        };
+        let mut layout = Layout::new(0x10_000);
+        let code = layout.alloc("fir.code", 256, 32);
+        let signal = layout.alloc("fir.signal", 4 * (512 + 8), 4096);
+        let coeffs = layout.alloc("fir.coeffs", 4 * 8, 32);
+        let output = layout.alloc("fir.out", 4 * 512, 4096);
+        let ops = FirFilter::new(code, signal, coeffs, output, 512, 8).trace_ops(&build());
+        let (a, b) = (Addr::new(0x7_0000 + seed % 4096 * 32), signal.base());
+        let replay = |m: &mut Machine| {
+            let first = m.run_trace(&ops);
+            m.load(a);
+            m.store(b);
+            let second = m.run_trace(&ops);
+            (first, second, m.cycles(), m.contention_cycles())
+        };
+
+        let mut off = build();
+        let mut on = build();
+        on.enable_trace();
+        prop_assert_eq!(replay(&mut off), replay(&mut on), "op trace changed the timing");
+        prop_assert_eq!(off.hierarchy().total_stats(), on.hierarchy().total_stats());
+        prop_assert_eq!(
+            off.shared_llc().map(|llc| *llc.cache().stats()),
+            on.shared_llc().map(|llc| *llc.cache().stats())
+        );
+        prop_assert!(!contended || on.contention_cycles() > 0, "enemy never contended");
+
+        let mut issued = ops.clone();
+        issued.extend([TraceOp::read(a), TraceOp::write(b)]);
+        issued.extend_from_slice(&ops);
+        let traced: Vec<_> = on.take_trace().iter().map(|t| (t.kind, t.addr)).collect();
+        let issued: Vec<_> = issued.iter().map(|t| (t.kind, t.addr)).collect();
+        prop_assert_eq!(traced, issued, "trace is not the issued ops");
+        prop_assert!(off.take_trace().is_empty(), "ops recorded with tracing off");
     }
 
     /// The trace digest is ring-capacity invariant: a recorder too

@@ -84,6 +84,32 @@ impl TraceRecorder {
         }
     }
 
+    /// Records the per-level view of one op's walk through a
+    /// `depth`-level hierarchy at `ts`: one [`Event::LevelAccess`] per
+    /// consulted level (level `l` is consulted iff every level above
+    /// it missed, so the chain stops at the first hit; bit `l` of
+    /// `miss_mask` = missed at level `l`), then an [`Event::Writeback`]
+    /// when the op sent `mem_writebacks > 0` dirty victims to memory.
+    pub fn record_walk(
+        &mut self,
+        ts: u64,
+        core: u8,
+        depth: usize,
+        miss_mask: u8,
+        mem_writebacks: u8,
+    ) {
+        for level in 0..depth {
+            let miss = miss_mask >> level & 1 == 1;
+            self.record(ts, Event::LevelAccess { core, level: level as u8, hit: !miss });
+            if !miss {
+                break;
+            }
+        }
+        if mem_writebacks > 0 {
+            self.record(ts, Event::Writeback { core, count: mem_writebacks });
+        }
+    }
+
     /// Digest of the full recorded stream (timestamps + events, in
     /// order) — independent of ring capacity.
     pub fn digest(&self) -> u64 {
@@ -178,6 +204,29 @@ mod tests {
         assert_eq!(r.merged_histogram().total(), 50);
         assert_eq!(r.histograms().len(), 3, "cores 0..=2 allocated");
         assert_eq!(r.histograms()[2].total(), 50);
+    }
+
+    #[test]
+    fn record_walk_stops_at_the_first_hit_then_notes_writebacks() {
+        let mut r = TraceRecorder::new(16);
+        // L1 and L2 miss, L3 hits; L4 is never consulted.
+        r.record_walk(7, 2, 4, 0b1011, 3);
+        let events: Vec<Event> = r.records().iter().map(|t| t.event).collect();
+        assert_eq!(
+            events,
+            vec![
+                Event::LevelAccess { core: 2, level: 0, hit: false },
+                Event::LevelAccess { core: 2, level: 1, hit: false },
+                Event::LevelAccess { core: 2, level: 2, hit: true },
+                Event::Writeback { core: 2, count: 3 },
+            ]
+        );
+        assert!(r.records().iter().all(|t| t.ts == 7));
+        // An all-miss walk consults every level; no writeback, no event.
+        let mut r = TraceRecorder::new(16);
+        r.record_walk(0, 0, 2, 0b11, 0);
+        assert_eq!(r.recorded(), 2);
+        assert!(r.histograms().is_empty(), "walk events carry no latency");
     }
 
     #[test]
